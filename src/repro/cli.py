@@ -458,13 +458,17 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
 def _cmd_bench_vm(args: argparse.Namespace) -> int:
     from repro.obs.bench import render_vm_bench, run_vm_bench
 
-    report = run_vm_bench(
-        apps=args.apps.split(",") if args.apps else None,
-        sample_interval=args.sample,
-        out=args.out,
-        pairs=args.pairs,
-        fuse=args.fuse_top if args.fuse else 0,
-    )
+    try:
+        report = run_vm_bench(
+            apps=args.apps.split(",") if args.apps else None,
+            sample_interval=args.sample,
+            out=args.out,
+            pairs=args.pairs,
+            fuse=args.fuse_top,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_vm_bench(report))
     if args.out:
         print(f"\nwrote VM benchmark report: {args.out}")
@@ -473,7 +477,7 @@ def _cmd_bench_vm(args: argparse.Namespace) -> int:
             "error: virtual clock drifted under sampling", file=sys.stderr
         )
         return 1
-    if args.fuse and not report["totals"].get("fused_virtual_identical"):
+    if not report["totals"].get("fused_virtual_identical"):
         print(
             "error: fused run drifted from the plain path "
             "(steps/blocks/virtual clock)",
@@ -1978,17 +1982,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="report path (default: BENCH_vm.json)",
     )
     p_bench_vm.add_argument(
-        "--fuse",
-        action="store_true",
-        help="add a fused phase per pair (top-K mined superinstructions "
-        "spliced in; fails on accounting drift)",
-    )
-    p_bench_vm.add_argument(
         "--fuse-top",
         type=int,
         default=12,
         metavar="K",
-        help="mined sequences to fuse with --fuse (default: 12)",
+        help="mined sequences spliced into each pair's fused phase, which "
+        "fails on accounting drift (default: 12)",
     )
     p_bench_vm.set_defaults(fn=_cmd_bench_vm)
 

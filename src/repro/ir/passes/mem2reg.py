@@ -64,6 +64,9 @@ class Mem2RegPass(FunctionPass):
             return False
         cfg = ControlFlowInfo(func)
         blocks_by_id = {id(b): b for b in cfg.rpo}
+        # Block ids are memory addresses: visit id sets in RPO order so phi
+        # placement and naming are the same in every process.
+        rpo_index = {id(b): i for i, b in enumerate(cfg.rpo)}
         frontiers = compute_dominance_frontiers(cfg)
         children = _dominator_tree_children(cfg)
 
@@ -81,10 +84,11 @@ class Mem2RegPass(FunctionPass):
                 if instr.opcode is Opcode.STORE
             }
             placed: set[int] = set()
-            worklist = list(def_blocks)
+            worklist = [id(b) for b in cfg.rpo if id(b) in def_blocks]
             while worklist:
                 bid = worklist.pop()
-                for fid in frontiers.get(bid, ()):
+                frontier = frontiers.get(bid, ())
+                for fid in sorted(frontier, key=rpo_index.__getitem__):
                     if fid in placed:
                         continue
                     placed.add(fid)

@@ -37,13 +37,14 @@ class Candidate:
         """Number of IR instructions covered (paper: ~7 per candidate)."""
         return len(self.nodes)
 
+    # Ports follow the node order, so they are the same in every process.
     @cached_property
     def inputs(self) -> list[Value]:
-        return self.dfg.inputs_of(set(self.nodes))
+        return self.dfg.inputs_of(self.nodes)
 
     @cached_property
     def outputs(self) -> list[Instruction]:
-        return self.dfg.outputs_of(set(self.nodes))
+        return self.dfg.outputs_of(self.nodes)
 
     def contains(self, instr: Instruction) -> bool:
         return id(instr) in self._node_ids

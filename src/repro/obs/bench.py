@@ -28,7 +28,7 @@ per-app interpreter wall time, instructions/sec, dynamic opcode counts,
 top digrams, superinstruction candidates and the calibrated dispatch-cost
 table — the committed baseline the ROADMAP's dispatch-optimization work
 is measured against, with the PPC405 virtual clock checked bit-identical
-between the sampled and unsampled loops.
+between the sampled and unsampled runs.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def run_vm_bench(
     top_digrams_n: int = 10,
     top_candidates: int = 10,
     pairs: int = 3,
-    fuse: int = 0,
+    fuse: int = 12,
 ) -> dict:
     """Interpreter macro benchmark over the embedded suite (BENCH_vm.json).
 
@@ -158,16 +158,23 @@ def run_vm_bench(
     cycles of the two phases must be bit-identical — profiling may never
     bend the virtual clock.
 
-    With ``fuse=K > 0``, each app additionally mines its own top-K
-    superinstruction sequences from a profiling run, splices them in via
-    :mod:`repro.vm.fusion`, and every pair gains a third *fused* phase.
-    The fused speedup is again the median of the per-pair plain/fused
-    ratios (per app, and pooled across apps in ``totals``), and the fused
-    phase must leave steps, block counts and the virtual clock
-    bit-identical — fusion may only move the real clock.
+    Each app also mines its own top-*fuse* superinstruction sequences
+    from a profiling run, splices them in via :mod:`repro.vm.fusion`, and
+    every pair gains a third *fused* phase. The fused speedup is again the
+    median of the per-pair plain/fused ratios (per app, and pooled across
+    apps in ``totals``), and the fused phase must leave steps, block counts
+    and the virtual clock bit-identical — fusion may only move the real
+    clock. *fuse* must be at least 1.
     """
+    if fuse < 1:
+        raise ValueError(f"fuse must be >= 1, got {fuse}")
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
-    from repro.obs.vmprof import build_profile, top_digrams, vm_manifest_block
+    from repro.obs.vmprof import (
+        FusionReport,
+        build_profile,
+        top_digrams,
+        vm_manifest_block,
+    )
     from repro.vm.costmodel import PPC405_COST_MODEL
     from repro.vm.dispatchcost import measure_dispatch_costs
     from repro.vm.profiler import BlockTimeSampler
@@ -184,18 +191,15 @@ def run_vm_bench(
         spec = get_app(name)
         compiled = compile_app(spec)
 
-        plan = None
-        if fuse > 0:
-            # Mine the plan from a dedicated profiling run, then time the
-            # fused phase inside the same pairs as plain/sampled so the
-            # speedup is a paired ratio, not a cross-drift difference.
-            profiling = compiled.run(spec.train)
-            plan = compiled.fusion_plan(top=fuse, profile=profiling.profile)
+        # Mine the plan from a dedicated profiling run, then time the fused
+        # phase inside the same pairs as plain/sampled so the speedup is a
+        # paired ratio, not a cross-drift difference.
+        profiling = compiled.run(spec.train)
+        plan = compiled.fusion_plan(top=fuse, profile=profiling.profile)
 
         wall_plain = wall_sampled = wall_fused = float("inf")
         ratios: list[float] = []
         fused_ratios: list[float] = []
-        fused = None
         for _ in range(max(1, pairs)):
             t0 = time.perf_counter()
             plain = compiled.run(spec.train)
@@ -210,12 +214,11 @@ def run_vm_bench(
             wall_sampled = min(wall_sampled, sampled_wall)
             ratios.append(sampled_wall / max(plain_wall, 1e-9))
 
-            if plan is not None:
-                t0 = time.perf_counter()
-                fused = compiled.run(spec.train, fusion=plan)
-                fused_wall = time.perf_counter() - t0
-                wall_fused = min(wall_fused, fused_wall)
-                fused_ratios.append(plain_wall / max(fused_wall, 1e-9))
+            t0 = time.perf_counter()
+            fused = compiled.run(spec.train, fusion=plan)
+            fused_wall = time.perf_counter() - t0
+            wall_fused = min(wall_fused, fused_wall)
+            fused_ratios.append(plain_wall / max(fused_wall, 1e-9))
         ratios.sort()
         median_ratio = ratios[len(ratios) // 2]
 
@@ -268,48 +271,41 @@ def run_vm_bench(
                 for candidate in prof.candidates
             ],
         }
-        if plan is not None:
-            from repro.obs.vmprof import FusionReport
-
-            fused_ratios.sort()
-            median_speedup = fused_ratios[len(fused_ratios) // 2]
-            fused_all_ratios.extend(fused_ratios)
-            fused_cycles = fused.profile.total_cycles(
-                compiled.module, PPC405_COST_MODEL
-            )
-            steps_identical = fused.steps == plain.steps
-            blocks_identical = {
-                k: p.count for k, p in fused.profile.blocks.items()
-            } == {k: p.count for k, p in plain.profile.blocks.items()}
-            cycles_identical = fused_cycles == plain_cycles
-            fused_identical = (
-                steps_identical and blocks_identical and cycles_identical
-            )
-            fused_all_identical = fused_all_identical and fused_identical
-            prof.fusion = FusionReport(
-                top=fuse,
-                sites=plan.site_count,
-                fused_instructions=plan.fused_instructions,
-                dispatches_removed=plan.dispatches_removed(fused.profile),
-                wall_seconds=wall_fused,
-                speedup=median_speedup,
-                steps_identical=steps_identical,
-                blocks_identical=blocks_identical,
-                virtual_identical=cycles_identical,
-                sequences=plan.describe()["sequences"],
-            )
-            app_reports[spec.name]["fused"] = {
-                "top": fuse,
-                "sites": plan.site_count,
-                "fused_instructions": plan.fused_instructions,
-                "dispatches_removed": plan.dispatches_removed(
-                    fused.profile
-                ),
-                "wall_seconds": round(wall_fused, 6),
-                "speedup": round(median_speedup, 3),
-                "virtual_identical": fused_identical,
-                "sequences": ["+".join(seq) for seq in plan.sequences],
-            }
+        fused_ratios.sort()
+        median_speedup = fused_ratios[len(fused_ratios) // 2]
+        fused_all_ratios.extend(fused_ratios)
+        fused_cycles = fused.profile.total_cycles(
+            compiled.module, PPC405_COST_MODEL
+        )
+        steps_identical = fused.steps == plain.steps
+        blocks_identical = {
+            k: p.count for k, p in fused.profile.blocks.items()
+        } == {k: p.count for k, p in plain.profile.blocks.items()}
+        cycles_identical = fused_cycles == plain_cycles
+        fused_identical = steps_identical and blocks_identical and cycles_identical
+        fused_all_identical = fused_all_identical and fused_identical
+        prof.fusion = FusionReport(
+            top=fuse,
+            sites=plan.site_count,
+            fused_instructions=plan.fused_instructions,
+            dispatches_removed=plan.dispatches_removed(fused.profile),
+            wall_seconds=wall_fused,
+            speedup=median_speedup,
+            steps_identical=steps_identical,
+            blocks_identical=blocks_identical,
+            virtual_identical=cycles_identical,
+            sequences=plan.describe()["sequences"],
+        )
+        app_reports[spec.name]["fused"] = {
+            "top": fuse,
+            "sites": plan.site_count,
+            "fused_instructions": plan.fused_instructions,
+            "dispatches_removed": plan.dispatches_removed(fused.profile),
+            "wall_seconds": round(wall_fused, 6),
+            "speedup": round(median_speedup, 3),
+            "virtual_identical": fused_identical,
+            "sequences": ["+".join(seq) for seq in plan.sequences],
+        }
         # Feed the current ledger run (if any): the vm block of the last
         # profiled app wins, which is what the regress-vm single-app leg
         # uses; multi-app wall data lives in this report instead.
@@ -335,20 +331,14 @@ def run_vm_bench(
         ),
         "virtual_identical": all_identical,
     }
-    if fuse > 0:
-        fused_all_ratios.sort()
-        totals["fused_speedup"] = round(
-            fused_all_ratios[len(fused_all_ratios) // 2], 3
-        ) if fused_all_ratios else 0.0
-        totals["fused_wall_seconds"] = round(
-            sum(
-                a["fused"]["wall_seconds"]
-                for a in app_reports.values()
-                if "fused" in a
-            ),
-            3,
-        )
-        totals["fused_virtual_identical"] = fused_all_identical
+    fused_all_ratios.sort()
+    totals["fused_speedup"] = round(
+        fused_all_ratios[len(fused_all_ratios) // 2], 3
+    ) if fused_all_ratios else 0.0
+    totals["fused_wall_seconds"] = round(
+        sum(a["fused"]["wall_seconds"] for a in app_reports.values()), 3
+    )
+    totals["fused_virtual_identical"] = fused_all_identical
 
     report = {
         "schema": BENCH_VM_SCHEMA,
@@ -375,38 +365,38 @@ def render_vm_bench(report: dict) -> str:
     """ASCII rendering of a VM benchmark report for the CLI."""
     from repro.util.tables import Table
 
-    fused_mode = bool(report.get("fuse_top"))
-    columns = ["app", "wall [s]", "M instr/s", "sampler ovh %"]
-    if fused_mode:
-        columns += ["fused [s]", "fused x"]
-    columns.append("virt clock")
     table = Table(
-        columns=columns,
+        columns=[
+            "app",
+            "wall [s]",
+            "M instr/s",
+            "sampler ovh %",
+            "fused [s]",
+            "fused x",
+            "virt clock",
+        ],
         title=(
             "VM interpreter benchmark "
-            f"(sample interval {report.get('sample_interval')}"
-            + (f", fuse top-{report.get('fuse_top')}" if fused_mode else "")
-            + ")"
+            f"(sample interval {report.get('sample_interval')}, "
+            f"fuse top-{report.get('fuse_top')})"
         ),
     )
     for name, app in (report.get("apps") or {}).items():
-        fused = app.get("fused") or {}
-        identical = app.get("virtual_identical") and (
-            not fused or fused.get("virtual_identical")
+        fused = app["fused"]
+        identical = app.get("virtual_identical") and fused.get(
+            "virtual_identical"
         )
-        row = [
-            name,
-            f"{app.get('wall_seconds', 0.0):.2f}",
-            f"{app.get('instructions_per_second', 0.0) / 1e6:.2f}",
-            f"{app.get('sampler_overhead_pct', 0.0):+.1f}",
-        ]
-        if fused_mode:
-            row += [
-                f"{fused.get('wall_seconds', 0.0):.2f}" if fused else "-",
-                f"{fused.get('speedup', 0.0):.2f}" if fused else "-",
+        table.add_row(
+            [
+                name,
+                f"{app.get('wall_seconds', 0.0):.2f}",
+                f"{app.get('instructions_per_second', 0.0) / 1e6:.2f}",
+                f"{app.get('sampler_overhead_pct', 0.0):+.1f}",
+                f"{fused.get('wall_seconds', 0.0):.2f}",
+                f"{fused.get('speedup', 0.0):.2f}",
+                "identical" if identical else "DRIFTED",
             ]
-        row.append("identical" if identical else "DRIFTED")
-        table.add_row(row)
+        )
     lines = [table.render()]
     dispatch = (report.get("dispatch_cost") or {}).get("classes_ns") or {}
     if dispatch:
@@ -427,16 +417,15 @@ def render_vm_bench(report: dict) -> str:
                 else "DRIFTED under sampling"
             )
         )
-        if "fused_speedup" in totals:
-            lines.append(
-                f"fusion: {totals.get('fused_speedup', 0.0):.2f}x "
-                "median-of-paired-ratios; "
-                + (
-                    "blocks + virtual clock bit-identical under fusion"
-                    if totals.get("fused_virtual_identical")
-                    else "fused accounting DRIFTED"
-                )
+        lines.append(
+            f"fusion: {totals.get('fused_speedup', 0.0):.2f}x "
+            "median-of-paired-ratios; "
+            + (
+                "blocks + virtual clock bit-identical under fusion"
+                if totals.get("fused_virtual_identical")
+                else "fused accounting DRIFTED"
             )
+        )
     return "\n".join(lines)
 
 

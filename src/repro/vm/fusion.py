@@ -5,8 +5,9 @@ dispatch observatory (:mod:`repro.obs.vmprof`) mines hot straight-line
 opcode n-grams exactly the way the paper's candidate search mines dataflow
 subgraphs; this module compiles each mined sequence *site* into a single
 Python function whose body inlines the constituent operations, and the
-interpreter's fused dispatch loop (:meth:`Interpreter._call_fused`) then
-executes N instructions behind one handler call — a "software Woolcano".
+interpreter's block compiler (:meth:`Interpreter._compile_block`) splices
+it into the block body, so the one dispatch loop executes N instructions
+behind one handler call — a "software Woolcano".
 
 Correctness argument (same as :mod:`repro.vm.patcher` makes for CUSTOM
 instructions): every inlined operation is either the interpreter's own
@@ -33,7 +34,7 @@ Pipeline::
       · match non-overlapping sites per block (CUSTOM/CALL/phi barriers)
       · exec-compile one factory per site (operands baked in)
                                            ▼
-    Interpreter(fusion=plan) ──▶ _call_fused: body handlers + terminator
+    Interpreter(fusion=plan) ──▶ _compile_block: sites spliced into body
 
 The *plan* (matching + code generation + ``compile()``) is interpreter
 independent and built once per :class:`~repro.apps.base.CompiledApp`;

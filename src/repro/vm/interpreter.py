@@ -16,18 +16,18 @@ once into a list of Python closures with operands resolved at compile time
 dict lookups. This removes the per-execution isinstance/dispatch overhead
 that dominated the naive tree-walking interpreter (~2.5x faster).
 
-Passing a :class:`repro.vm.profiler.BlockTimeSampler` as ``sampler=``
-switches execution to a twin loop that attributes real wall time to
-compiled blocks (the dispatch observatory's real clock); without it the
-default loop runs unchanged, so the feature costs nothing when off.
-
-Passing a :class:`repro.vm.fusion.FusionPlan` as ``fusion=`` selects the
-*fused* twin loops instead: blocks compile to (body, terminator) handler
-lists with mined superinstruction sites spliced in as single exec-compiled
-handlers, so N dispatches become one call. Block counts and the virtual
-clock stay bit-identical to the plain loops — fusion never touches the
-module, and step/cycle accounting uses the static block size either way.
-See docs/VM.md for the loop matrix and the bit-identity invariant.
+One dispatch loop (:meth:`Interpreter._call`) runs every configuration.
+A block compiles to ``(record, size, phi_plan, body, terminator)``.
+Passing a :class:`repro.vm.fusion.FusionPlan` as ``fusion=`` splices mined
+superinstruction sites into ``body`` as single exec-compiled handlers, so
+N dispatches become one call; a plain block is a fused block with no
+sites. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
+``sampler=`` compiles a ``record`` that also ticks the sampler, which
+attributes real wall time to compiled blocks (the dispatch observatory's
+real clock). Block counts and the virtual clock are bit-identical in all
+four configurations: neither feature touches the module, and step/cycle
+accounting uses the static block size. See docs/VM.md for the block
+tuple and the bit-identity invariant.
 
 This is the execution half of the paper's LLVM JIT VM (Figure 1); the
 profiles it records feed the coverage analysis of Section IV-C.
@@ -110,22 +110,18 @@ class Interpreter:
         self.output: list = []
         self.rand_state = 1
         self.cycles_executed = 0  # coarse counter exposed to clock()
-        # Real-clock sampler: None by default, in which case _call() runs
-        # the unsampled loop and the hot path gains zero added work.
+        # Real-clock sampler and superinstruction fusion plan, both None by
+        # default. Both are fixed for the interpreter's lifetime and baked
+        # into each compiled block, so the dispatch loop tests neither.
         self.sampler = sampler
-        # Superinstruction fusion plan: None by default, in which case the
-        # plain/sampled loops run unchanged and blocks compile without
-        # fused handlers.
         self.fusion = fusion
         self._steps = 0
         self._profile = ExecutionProfile(module.name)
         # Custom-instruction evaluators installed by the binary patcher:
         # custom_id -> callable(list_of_operand_values) -> value
         self.custom_evaluators: dict[int, object] = {}
-        # Compiled-block cache: id(block) -> (phi_plan, body_handlers)
+        # Compiled-block cache: id(block) -> (record, size, phi_plan, body, term)
         self._compiled: dict[int, tuple] = {}
-        # Fused-block cache: id(block) -> (record, size, phi_plan, body, term)
-        self._compiled_fused: dict[int, tuple] = {}
         # Observability: intrinsic-call counts, flushed to the metrics
         # registry once per run (never touched on the hot path unless
         # metrics were enabled when the block was compiled).
@@ -161,77 +157,6 @@ class Interpreter:
 
     # -- execution core ------------------------------------------------------
     def _call(self, func: Function, args: list):
-        if self.fusion is not None:
-            if self.sampler is not None:
-                return self._call_fused_sampled(func, args)
-            return self._call_fused(func, args)
-        if self.sampler is not None:
-            return self._call_sampled(func, args)
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        profile = self._profile
-        compiled = self._compiled
-        max_steps = self.max_steps
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, handlers = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                # Straight-line body: only the last handler (the terminator)
-                # returns a control tuple.
-                for handler in handlers:
-                    ctl = handler(env)
-                    if ctl is not None:
-                        break
-                else:  # pragma: no cover - verifier guarantees a terminator
-                    raise VMError(f"{fname}/{block.name}: fell off block end")
-
-                kind, payload = ctl
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_sampled(self, func: Function, args: list):
-        # Twin of _call with real-clock sampling woven in. Kept as a
-        # separate loop (not an `if sampler` branch inside _call) so the
-        # default path pays nothing for the feature; any fix to one loop
-        # must be mirrored in the other. Nested calls re-enter through
-        # _call, which routes back here while self.sampler is set.
         if func.is_declaration:
             raise VMError(f"call to undefined function {func.name}")
         if len(args) != len(func.args):
@@ -248,89 +173,12 @@ class Interpreter:
         fname = func.name
         compiled = self._compiled
         max_steps = self.max_steps
-        sampler = self.sampler
-        interval = sampler.interval
-        samples = sampler.samples
 
         try:
             while True:
                 plan = compiled.get(id(block))
                 if plan is None:
                     plan = self._compile_block(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, handlers = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                # Sampling tick: every `interval` block executions, charge
-                # the elapsed wall time to the block running right now.
-                sampler.tick += 1
-                if sampler.tick >= interval:
-                    now = perf_counter()
-                    skey = (fname, block.name)
-                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
-                    sampler.last = now
-                    sampler.tick = 0
-                    sampler.sample_count += 1
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                for handler in handlers:
-                    ctl = handler(env)
-                    if ctl is not None:
-                        break
-                else:  # pragma: no cover - verifier guarantees a terminator
-                    raise VMError(f"{fname}/{block.name}: fell off block end")
-
-                kind, payload = ctl
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_fused(self, func: Function, args: list):
-        # Fused twin of _call: blocks compile to (body, terminator) handler
-        # lists with superinstruction sites spliced in as single handlers.
-        # Accounting is identical to the plain loop — record() and the
-        # static block size don't change — so block counts and the virtual
-        # clock are bit-identical by construction; only the number of
-        # Python-level handler calls (the real clock) drops.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        compiled = self._compiled_fused
-        max_steps = self.max_steps
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block_fused(fname, block)
                     compiled[id(block)] = plan
                 record, size, phi_plan, body, term = plan
 
@@ -350,74 +198,7 @@ class Interpreter:
 
                 # Straight-line body, then the terminator: the verifier
                 # guarantees exactly one terminator, last in the block, so
-                # the per-handler control check of the plain loop vanishes.
-                for handler in body:
-                    handler(env)
-                kind, payload = term(env)
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_fused_sampled(self, func: Function, args: list):
-        # Fused twin of _call_sampled: sampling ticks at block entry, so a
-        # fused sequence executing when the tick fires is attributed to its
-        # block exactly as the unfused handlers would be.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        compiled = self._compiled_fused
-        max_steps = self.max_steps
-        sampler = self.sampler
-        interval = sampler.interval
-        samples = sampler.samples
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block_fused(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, body, term = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                sampler.tick += 1
-                if sampler.tick >= interval:
-                    now = perf_counter()
-                    skey = (fname, block.name)
-                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
-                    sampler.last = now
-                    sampler.tick = 0
-                    sampler.sample_count += 1
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
+                # body handlers need no control-tuple check.
                 for handler in body:
                     handler(env)
                 kind, payload = term(env)
@@ -432,43 +213,16 @@ class Interpreter:
 
     # -- block compilation -----------------------------------------------------
     def _compile_block(self, fname: str, block: BasicBlock):
-        phis = block.phis()
-        phi_plan = None
-        if phis:
-            keys = [id(p) for p in phis]
-            tables = []
-            for phi in phis:
-                table: dict[int, object] = {}
-                for value, inc_block in phi.incoming:
-                    table[id(inc_block)] = self._getter(value)
-                tables.append(table)
-            phi_plan = (keys, tables)
+        """Compile *block* into ``(record, size, phi_plan, body, terminator)``.
 
-        handlers = [
-            self._compile_instr(fname, instr)
-            for instr in block.instructions[len(phis) :]
-        ]
-
-        size = len(block.instructions)
-        block_name = block.name
-        profile = self._profile
-
-        def record(function_name: str, _size=size, _name=block_name) -> None:
-            # self._profile is replaced per run(); resolve dynamically.
-            self._profile.record(function_name, _name, _size)
-
-        return (record, size, phi_plan, handlers)
-
-    def _compile_block_fused(self, fname: str, block: BasicBlock):
-        """Compile *block* with fused-site handlers spliced into the body.
-
-        Returns ``(record, size, phi_plan, body, terminator)``: the body is
-        a tuple of handlers where each fused site contributes exactly one,
-        and the terminator handler is kept separate so the fused loops can
-        skip the per-handler control check. ``size`` stays the static
-        instruction count of the *unfused* block — that is the bit-identity
-        invariant: fusion changes how many Python calls execute a block,
-        never how the block is accounted.
+        ``body`` holds one handler per non-phi, non-terminator instruction,
+        except that each fusion site of the block contributes a single
+        handler for its whole sequence; a plain block is a fused block with
+        no sites. ``size`` stays the static instruction count of the
+        unfused block -- the bit-identity invariant: fusion changes how many
+        Python calls execute a block, never how the block is accounted.
+        ``record`` counts the block in the profile and, when a sampler is
+        attached, also ticks it.
         """
         phis = block.phis()
         phi_plan = None
@@ -484,7 +238,11 @@ class Interpreter:
 
         instrs = block.instructions
         last = len(instrs) - 1
-        sites = {site.start: site for site in self.fusion.sites_for(block)}
+        sites = (
+            {site.start: site for site in self.fusion.sites_for(block)}
+            if self.fusion is not None
+            else {}
+        )
         body = []
         i = len(phis)
         while i < last:
@@ -499,10 +257,30 @@ class Interpreter:
 
         size = len(instrs)
         block_name = block.name
+        sampler = self.sampler
 
-        def record(function_name: str, _size=size, _name=block_name) -> None:
-            # self._profile is replaced per run(); resolve dynamically.
-            self._profile.record(function_name, _name, _size)
+        if sampler is None:
+
+            def record(function_name: str, _size=size, _name=block_name) -> None:
+                # self._profile is replaced per run(); resolve dynamically.
+                self._profile.record(function_name, _name, _size)
+
+        else:
+            interval = sampler.interval
+            samples = sampler.samples
+
+            def record(function_name: str, _size=size, _name=block_name) -> None:
+                self._profile.record(function_name, _name, _size)
+                # Sampling tick: every `interval` block executions, charge
+                # the elapsed wall time to the block entered right now.
+                sampler.tick += 1
+                if sampler.tick >= interval:
+                    now = perf_counter()
+                    skey = (function_name, _name)
+                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
+                    sampler.last = now
+                    sampler.tick = 0
+                    sampler.sample_count += 1
 
         return (record, size, phi_plan, tuple(body), terminator)
 

@@ -227,12 +227,14 @@ def static_block_opcodes(module: Module) -> dict[BlockKey, tuple[str, ...]]:
 class BlockTimeSampler:
     """Opt-in real-clock sampler attributing wall time to compiled blocks.
 
-    Every ``interval`` block executions the interpreter's sampled loop reads
-    ``perf_counter`` and charges the elapsed delta to the block that was
-    running when the tick fired. At the default interval the added work is
-    one integer increment + compare per *block* (not per instruction), which
-    keeps measured overhead well under the 5% budget on the embedded suite
-    while still resolving the hot blocks the paper's Section IV profiling
+    Every ``interval`` block executions the interpreter reads
+    ``perf_counter`` and charges the elapsed delta to the block entered
+    when the tick fired. The tick lives in each compiled block's ``record``
+    closure, which the interpreter builds with the tick only when a sampler
+    is attached. At the default interval the added work is one integer
+    increment + compare per *block* (not per instruction), which keeps
+    measured overhead well under the 5% budget on the embedded suite while
+    still resolving the hot blocks the paper's Section IV profiling
     identifies.
 
     ``samples`` accumulates seconds per ``(function, block)`` key; passing

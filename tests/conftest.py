@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.frontend import compile_source
@@ -95,3 +100,34 @@ def run_main(source: str, module_name: str = "t", dataset_size: int = 0, seed: i
     result = compile_source(source, module_name)
     interp = Interpreter(result.module, dataset_size=dataset_size, dataset_seed=seed)
     return interp.run("main")
+
+
+def outputs_of_fresh_processes(script: str, runs: int = 3) -> list[str]:
+    """Run *script* in *runs* concurrent fresh interpreters; return stdouts.
+
+    Each process first allocates a different number of throwaway objects,
+    so IR objects land at different addresses in every process. Results
+    that depend on ``id()`` order then differ between the outputs.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [
+        subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                f"_pad = [object() for _ in range({k * 3001})]\n{script}",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for k in range(runs)
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    return outputs

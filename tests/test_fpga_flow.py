@@ -17,6 +17,8 @@ from repro.fpga.device import VIRTEX4_FX20
 from repro.fpga.placer import PlacementError
 from repro.ise import CandidateSearch
 
+from conftest import outputs_of_fresh_processes
+
 
 @pytest.fixture(scope="module")
 def implementation(request):
@@ -227,3 +229,36 @@ class TestTimingModel:
         t = model.stage_times("e", 50)
         half = t.scaled(0.5)
         assert half.total == pytest.approx(0.5 * t.total)
+
+
+_CROSS_PROCESS_SCRIPT = """
+from repro.apps import compile_app, get_app
+from repro.core.asip_sp import AsipSpecializationProcess
+from repro.ise import CandidateSearch
+from repro.ise.pruning import NO_PRUNING
+
+def names(values):
+    return ",".join(getattr(v, "name", "?") for v in values)
+
+spec = get_app("fft")
+compiled = compile_app(spec)
+train = compiled.run(spec.train).profile
+search = CandidateSearch(pruning=NO_PRUNING, min_total_cycles_saved=0.0)
+result = search.run(compiled.module, train)
+for est in result.selected + result.rejected:
+    cand = est.candidate
+    print(cand.key, names(cand.inputs), names(cand.outputs))
+for ci in AsipSpecializationProcess().run(compiled.module, train).implementations:
+    impl = ci.implementation
+    print(ci.estimate.candidate.key, names(ci.estimate.candidate.inputs),
+          impl.bitstream.checksum, impl.placement.final_wirelength)
+"""
+
+
+class TestCrossProcessDeterminism:
+    def test_ports_bitstreams_and_wirelengths_identical_across_processes(self):
+        """The same app implemented in separate processes gives the same
+        port order, bitstream checksums and placement wirelengths."""
+        outputs = outputs_of_fresh_processes(_CROSS_PROCESS_SCRIPT)
+        assert "for.body" in outputs[0]
+        assert outputs[1:] == outputs[:1] * (len(outputs) - 1)

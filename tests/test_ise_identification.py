@@ -50,6 +50,21 @@ class TestDataFlowGraph:
         for value in dfg.inputs_of(nodes):
             assert not isinstance(value, Constant)
 
+    def test_ports_follow_the_order_of_the_nodes(self, hot_block):
+        fname, block = hot_block
+        dfg = DataFlowGraph(block)
+        nodes = dfg.nodes
+        inputs = [id(v) for v in dfg.inputs_of(nodes)]
+        outputs = [id(v) for v in dfg.outputs_of(nodes)]
+        assert len(inputs) > 1 and outputs
+        first_use = []
+        for node in nodes:
+            for op in node.operands:
+                if id(op) in inputs and id(op) not in first_use:
+                    first_use.append(id(op))
+        assert inputs == first_use
+        assert [id(v) for v in dfg.outputs_of(nodes[::-1])] == outputs[::-1]
+
     def test_whole_body_convex(self, hot_block):
         fname, block = hot_block
         dfg = DataFlowGraph(block)

@@ -7,7 +7,7 @@ from repro.ir.opcodes import ICmpPred, Opcode
 from repro.ir.passes import Mem2RegPass
 from repro.vm import Interpreter
 
-from conftest import build_sumsq_module
+from conftest import build_sumsq_module, outputs_of_fresh_processes
 
 
 def count_opcodes(func, *opcodes):
@@ -115,3 +115,15 @@ class TestDiamond:
         assert len(join.phis()) == 1
         assert Interpreter(m).run("f", [5]).return_value == 10
         assert Interpreter(m).run("f", [-5]).return_value == 20
+
+
+class TestDeterminism:
+    def test_printed_ir_identical_across_processes(self):
+        """Phi placement and naming must not follow object addresses."""
+        outputs = outputs_of_fresh_processes(
+            "from repro.apps import compile_app, get_app\n"
+            "from repro.ir.printer import print_module\n"
+            "print(print_module(compile_app(get_app('fft')).module))\n"
+        )
+        assert "phi" in outputs[0]
+        assert outputs[1:] == outputs[:1] * (len(outputs) - 1)

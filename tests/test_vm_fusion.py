@@ -31,22 +31,43 @@ from repro.vm.profiler import BlockTimeSampler
 from repro.obs.vmprof import mine_superinsns
 
 
+#: The sampler x fusion matrix: every configuration runs the same dispatch
+#: loop, so all four must agree on everything but the real clock.
+CONFIGS = {
+    "plain": (False, False),
+    "sampled": (True, False),
+    "fused": (False, True),
+    "fused+sampled": (True, True),
+}
+
+
+def mine_plan(module, entry="main", args=None, top=10, **interp_kwargs):
+    """Run *module* plain and fuse its own top mined sequences."""
+    plain = Interpreter(module, **interp_kwargs).run(entry, args)
+    candidates = mine_superinsns(module, plain.profile, 0.0, top=top)
+    return plain, plan_from_candidates(module, candidates, top)
+
+
+def interpreter_for(module, config, plan, sample_interval=3, **interp_kwargs):
+    """An interpreter in one configuration of :data:`CONFIGS`."""
+    sampled, fused = CONFIGS[config]
+    return Interpreter(
+        module,
+        sampler=BlockTimeSampler(interval=sample_interval) if sampled else None,
+        fusion=plan if fused else None,
+        **interp_kwargs,
+    )
+
+
 def run_both(module, entry="main", args=None, sample_interval=0, top=10):
     """Run *module* plain, mine its own sequences, run fused; return both.
 
-    With ``sample_interval > 0`` the fused run goes through the
-    fused+sampled twin loop (the plain reference stays unsampled — the
-    sampler itself is already proven invisible by test_vmprof).
+    With ``sample_interval > 0`` the fused run is also sampled (the plain
+    reference stays unsampled).
     """
-    plain = Interpreter(module).run(entry, args)
-    candidates = mine_superinsns(module, plain.profile, 0.0, top=top)
-    plan = plan_from_candidates(module, candidates, top)
-    sampler = (
-        BlockTimeSampler(interval=sample_interval)
-        if sample_interval > 0
-        else None
-    )
-    fused = Interpreter(module, sampler=sampler, fusion=plan).run(entry, args)
+    plain, plan = mine_plan(module, entry, args, top)
+    config = "fused+sampled" if sample_interval > 0 else "fused"
+    fused = interpreter_for(module, config, plan, sample_interval).run(entry, args)
     return plain, fused, plan
 
 
@@ -161,11 +182,97 @@ def build_random_module(seed: int, body_ops: int = 28) -> Module:
 @pytest.mark.parametrize("seed", range(8))
 def test_random_programs_fused_identical(seed):
     module = build_random_module(seed)
-    plain, fused, plan = run_both(module)
+    plain, plan = mine_plan(module)
     # Random straight-line bodies of this size must yield fusible sites —
     # otherwise the test exercises nothing.
     assert plan.site_count > 0
-    assert_invisible(module, plain, fused)
+    for config in CONFIGS:
+        result = interpreter_for(module, config, plan).run("main")
+        assert_invisible(module, plain, result)
+
+
+# -- nested calls and faults across the whole matrix --------------------------
+#: Recursion keeps ``fib`` and ``probe`` from being inlined, so blocks of
+#: several functions interleave and sampler ticks cross call boundaries.
+NESTED_SOURCE = """
+int data[16];
+int leaf(int x, int k) { return data[(x + k) & 15] * 3 + x; }
+int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+int probe(int i, int depth) {
+    if (depth > 0) return probe(i, depth - 1) + 1;
+    return data[i] * 5 + i;
+}
+int mid(int x) {
+    int s = 0;
+    for (int k = 0; k < 4; k++) s += leaf(x, k) ^ k;
+    return s + fib(x & 7);
+}
+int main() {
+    int scale = dataset_size();
+    for (int i = 0; i < 16; i++) data[i] = i * 7 - 20;
+    int acc = 0;
+    for (int i = 0; i < 40; i++) {
+        acc += mid(i) + probe((i & 15) * scale, 3);
+        if (acc > 100000) acc -= 99991;
+    }
+    print_i32(acc);
+    return acc & 255;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def nested():
+    """The nested-call module and a plan mined from its safe run."""
+    from repro.frontend import compile_source
+
+    module = compile_source(NESTED_SOURCE, "nested").module
+    plain, plan = mine_plan(module, dataset_size=1)
+    assert plan.site_count > 0
+    assert {"fib", "probe"} <= {k[0] for k in plain.profile.blocks}
+    return module, plain, plan
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_nested_calls_identical_in_every_config(nested, config):
+    module, plain, plan = nested
+    interp = interpreter_for(module, config, plan, dataset_size=1)
+    assert_invisible(module, plain, interp.run("main"))
+    if interp.sampler is not None:
+        # Ticks land in callees as well as in main.
+        assert {"main", "fib"} <= {f for f, _ in interp.sampler.samples}
+
+
+def _vm_error(module, config, plan, **interp_kwargs) -> str:
+    with pytest.raises(VMError) as exc:
+        interpreter_for(module, config, plan, **interp_kwargs).run("main")
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_step_limit_message_identical_in_every_config(nested, config):
+    module, _, plan = nested
+    # These limits run out in main, fib and probe respectively; every config
+    # must run out at the same block.
+    for limit, fname in ((50, "main"), (274, "fib"), (281, "probe")):
+        expected = _vm_error(
+            module, "plain", plan, dataset_size=1, max_steps=limit
+        )
+        assert expected == f"step limit exceeded ({limit}) in {fname}"
+        assert (
+            _vm_error(module, config, plan, dataset_size=1, max_steps=limit)
+            == expected
+        )
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_memory_fault_message_identical_in_every_config(nested, config):
+    module, _, plan = nested
+    # scale * 4 bytes past the 4 MiB image: the load inside the innermost
+    # probe() frame faults on the second loop iteration.
+    expected = _vm_error(module, "plain", plan, dataset_size=3_000_000)
+    assert expected.startswith("probe: ")
+    assert _vm_error(module, config, plan, dataset_size=3_000_000) == expected
 
 
 @pytest.mark.parametrize("interval", [1, 3, 64])

@@ -327,6 +327,16 @@ class TestCliCommands:
         assert manifest["vm"]["opcodes"]
         assert manifest["vm"]["superinsn"]
 
+    def test_bench_vm_always_fuses(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_vm.json"
+        # The fused phase is not optional: there is no --fuse switch, and
+        # fusing nothing is refused before any work is done.
+        with pytest.raises(SystemExit):
+            main(["bench-vm", "--fuse", "--out", str(out)])
+        assert main(["bench-vm", "--fuse-top", "0", "--out", str(out)]) == 2
+        assert "fuse must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heat_top_opcodes_rollup(self, capsys):
         assert main(["heat", "fft", "--top-opcodes", "5"]) == 0
         out = capsys.readouterr().out
@@ -357,6 +367,17 @@ class TestVmBench:
         assert app["opcodes"] and app["top_digrams"] and app["superinsn"]
         assert report["totals"]["virtual_identical"] is True
         assert report["dispatch_cost"]["classes_ns"]
+        # The fused phase always runs, at the default top-12.
+        assert report["fuse_top"] == 12
+        assert app["fused"]["virtual_identical"] is True
+        assert report["totals"]["fused_virtual_identical"] is True
+
+    def test_run_vm_bench_refuses_fusing_nothing(self, tmp_path):
+        from repro.obs.bench import run_vm_bench
+
+        with pytest.raises(ValueError, match="fuse must be >= 1"):
+            run_vm_bench(apps=["fft"], out=tmp_path / "b.json", fuse=0)
+        assert not (tmp_path / "b.json").exists()
 
     def test_run_vm_bench_fused_phase(self, tmp_path):
         from repro.obs.bench import run_vm_bench
