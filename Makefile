@@ -88,7 +88,7 @@ bench-vm:
 # and gate the second against the first — opcode/digram/superinsn/fusion
 # counts and the virtual clock must reproduce exactly (rel 1e-9) while the measured
 # dispatch-cost/wall cells stay informational until `--history` noise
-# bands promote them (`vm.*` tolerances in repro.obs.regress).
+# bands promote them (the `vm` row of CELL_KINDS in repro.obs.regress).
 regress-vm:
 	$(PYTHON) -m repro vmprof adpcm --ledger --fuse
 	$(PYTHON) -m repro vmprof adpcm --ledger --fuse
@@ -107,7 +107,7 @@ bench-mix:
 # gate the second against the first — every simulated cell (break-even,
 # loads, reloads, evictions, store hits) is virtual-clock deterministic
 # and must reproduce bit-identically (rel 1e-9); only the profile/grid
-# wall-time cells stay informational (`mix.*` tolerances in
+# wall-time cells stay informational (the `mix` row of CELL_KINDS in
 # repro.obs.regress).
 regress-mix:
 	$(PYTHON) -m repro mix --events 60 --out /dev/null --ledger
@@ -118,7 +118,7 @@ regress-mix:
 # Serve regression leg: record two identical load-generation runs in the
 # ledger, then gate the second against the first — the deterministic
 # request counts must match exactly while the measured latency quantiles
-# stay informational (`serve.*` tolerances in repro.obs.regress).
+# stay informational (the `serve` row of CELL_KINDS in repro.obs.regress).
 regress-serve:
 	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger
 	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger

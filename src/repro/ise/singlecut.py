@@ -51,6 +51,9 @@ class SingleCutIdentifier:
         if not feasible:
             return []
         feasible_ids = {id(n) for n in feasible}
+        # Body position orders everything the search iterates, so the
+        # cover never depends on object addresses.
+        order = {id(n): i for i, n in enumerate(body)}
 
         # Enumerate connected convex subgraphs by growing from each seed in
         # topological order; prune on I/O violations that cannot recover.
@@ -82,7 +85,7 @@ class SingleCutIdentifier:
                 for succ in dfg.graph.successors(n):
                     if id(succ) in feasible_ids and succ not in nodes:
                         out[id(succ)] = succ
-            return list(out.values())
+            return sorted(out.values(), key=lambda n: order[id(n)])
 
         for seed in feasible:
             stack: list[set[Instruction]] = [{seed}]
@@ -111,9 +114,11 @@ class SingleCutIdentifier:
             if expansions >= self.search_budget:
                 break
 
-        # Greedy maximum-merit non-overlapping cover.
-        accepted.sort(key=lambda t: (-t[0], sorted(id(n) for n in t[1])[0]))
-        order = {id(n): i for i, n in enumerate(body)}
+        # Greedy maximum-merit non-overlapping cover; equal merits are
+        # ordered by the subgraphs' sorted body positions (a total order).
+        accepted.sort(
+            key=lambda t: (-t[0], sorted(order[id(n)] for n in t[1]))
+        )
         claimed: set[int] = set()
         candidates: list[Candidate] = []
         index = start_index

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import shutil
 import tempfile
 import time
 
+from repro.obs.ledger import host_fingerprint
 from repro.obs.metrics import disable_metrics, enable_metrics
 
 #: Report schema identifier (bump on breaking changes).
@@ -119,11 +119,7 @@ def run_parallel_bench(
         "domain": domain,
         "jobs": jobs,
         "backend": backend,
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "host": host_fingerprint(),
         "phases": phases,
         "speedups": {
             "parallel_vs_serial": speedup("serial_cold", "parallel_cold"),
@@ -345,11 +341,7 @@ def run_vm_bench(
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "sample_interval": sample_interval,
         "fuse_top": fuse,
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "host": host_fingerprint(),
         "dispatch_cost": dispatch.to_dict(),
         "apps": app_reports,
         "totals": totals,
@@ -660,11 +652,7 @@ def run_mix_bench(
     report = {
         "schema": BENCH_MIX_SCHEMA,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "host": host_fingerprint(),
         "apps": list(apps),
         "presets": list(presets),
         "policies": list(policies),

@@ -14,8 +14,8 @@ ways:
   thresholds, so bit-identical deterministic cells and ordinary
   measurement jitter stay quiet while a seeded regression is named
   exactly;
-- **noise bands** (``repro regress --history N``): for cells that are
-  measured (informational by default in :mod:`repro.obs.regress`), the
+- **noise bands** (``repro regress --history N``): for cells of kind
+  ``measured`` (informational in :mod:`repro.obs.regress`), the
   observed median/MAD across history becomes the tolerance — measured-
   cell gates derive from fleet behaviour instead of hand tuning, while
   virtual-clock cells keep their exact gates.
@@ -29,12 +29,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 from repro.obs.ledger import RunLedger
-from repro.obs.regress import (
-    DEFAULT_TOLERANCES,
-    flatten_cells,
-    median_mad,
-    resolve_tolerance,
-)
+from repro.obs.regress import flatten_cells, median_mad, resolve_tolerance
 
 #: Compacted-run summary file at the ledger root (one JSON line per run).
 HISTORY_FILENAME = "history.jsonl"
@@ -253,20 +248,19 @@ def derive_noise_bands(
 ) -> dict[str, dict]:
     """Median/MAD bands for the *measured* cells observed in *entries*.
 
-    A cell qualifies when its default-resolved tolerance is ``None``
-    (informational, i.e. measured wall clock / latency / admission
-    behaviour) and it appears in at least *min_points* entries. The
-    returned mapping feeds :func:`repro.obs.regress.compare_manifests`'s
-    ``noise_bands`` parameter; deterministic cells never appear in it, so
-    their bit-exact gates are untouched.
+    A cell qualifies when it is informational — of kind ``measured`` and
+    not gated by one of the user *tolerances* — and it appears in at
+    least *min_points* entries. The returned mapping feeds
+    :func:`repro.obs.regress.compare_manifests`'s ``noise_bands``
+    parameter; exact and modelled cells never appear in it, so their
+    gates are untouched.
     """
-    resolved = list(tolerances or []) + list(DEFAULT_TOLERANCES)
     series = build_series(entries)
     bands: dict[str, dict] = {}
     for cell, points in series.items():
         if len(points) < min_points:
             continue
-        if resolve_tolerance(cell, resolved) is not None:
+        if resolve_tolerance(cell, tolerances or []) is not None:
             continue
         median, mad = median_mad([v for _, v in points])
         bands[cell] = {

@@ -89,6 +89,15 @@ def environment_info() -> dict:
     }
 
 
+def host_fingerprint() -> dict:
+    """The ``host`` block of every BENCH report: CPUs, Python, platform."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
 def fold_stages(records: list[SpanRecord]) -> dict:
     """Aggregate a trace into per-span-name totals on both clocks.
 

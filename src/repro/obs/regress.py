@@ -4,20 +4,29 @@ A ledger manifest (:mod:`repro.obs.ledger`) flattens into named numeric
 cells — per-stage virtual CAD seconds, span counts, per-app speedups and
 break-even times, candidate counts, fidelity cell outcomes, metrics
 counters. The sentinel compares a baseline manifest against a candidate
-manifest under configurable relative tolerances and exits non-zero on any
-regression, so CI can gate on ``repro regress --baseline <run>``.
+manifest and exits non-zero on any regression, so CI can gate on
+``repro regress --baseline <run>``. The paper's numbers (Tables I–IV,
+break-even) come from the virtual clock; this gate keeps them
+reproducible from run to run.
 
-Two kinds of cells:
+Every cell has one of three kinds, and each kind has one rule:
 
-- **deterministic** — the virtual-clock CAD stage totals, candidate
-  counts, speedups, break-even times, fidelity actuals: for a fixed
-  config these are bit-reproducible, so the default tolerance is
-  essentially exact (relative 1e-9) and any drift names the offending
-  cell;
-- **noisy** — measured wall clock (``wall_seconds``, ``*.real_seconds``,
-  candidate-search milliseconds): informational by default (reported but
-  never failing) unless a tolerance is explicitly configured for them,
-  e.g. ``--tol 'stages.search.*=0.5'``.
+- **exact** — counts, status and the virtual clock (CAD stage seconds,
+  VM cycles, the fleet-mix simulation): bit-reproducible for a fixed
+  config, compared at relative 1e-9, so any drift names the cell;
+- **modelled** — break-even times and the virtual-clock critpath/whatif
+  cells: they fold the measured search milliseconds into a minutes-scale
+  model, so they are deterministic to ~1e-6 and compared at 1e-4;
+- **measured** — the host clock and everything scheduled by threads
+  (``wall_seconds``, ``*.real_seconds``, search/compile milliseconds,
+  serve latencies and admission): informational, until history noise
+  bands (``--history N``) or an explicit ``--tol PATTERN=REL`` gate them.
+
+:data:`CELL_KINDS` gives each top-level block a default kind and the few
+keys that differ from it. A key matches whole dotted segments of the
+cell name below the block; a ``*word*`` key matches any substring there
+(the clock words in ``search_ms`` or ``break_even_seconds_mean``). When
+several keys match, the longest wins, so declaration order never matters.
 
 Noise bands: with repeat runs available (``--repeat N``), the candidate
 value of each cell is the **median** over the N most recent runs and the
@@ -33,110 +42,96 @@ from fnmatch import fnmatchcase
 
 from repro.util.tables import Table
 
-#: Ordered (pattern, relative tolerance) pairs; first match wins. ``None``
-#: marks the cell informational (never failing). User tolerances are
-#: prepended, so an explicit pattern can tighten a noisy cell into a
-#: checked one or loosen a deterministic one.
-DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
-    ("*search*", None),  # candidate search is measured wall clock (Table II)
-    ("*compile*", None),  # compilation is measured wall clock too
-    ("*.real_seconds", None),
-    ("wall_seconds", None),
-    # Serve-plane cells (repro serve / repro loadgen). Request *counts*
-    # (total / completed / failed) are deterministic for a fixed load
-    # schedule and stay on the exact catch-all below; everything measured
-    # under concurrency — latencies, queue depths, rejection/retry counts,
-    # dedup savings, per-tenant hit rates, throughput — depends on thread
-    # scheduling and is informational. These patterns must precede the
-    # global "*break_even*" entry: the serve latency quantiles are
-    # *measured distributions* of break-even times, not single modelled
-    # values.
-    ("serve.*latency*", None),
-    ("serve.*queue*", None),
-    ("serve.*rejected*", None),
-    # total = completed + failed + rejected, so it inherits the
-    # rejection count's scheduling noise under backpressure.
-    ("serve.*requests.total", None),
-    ("serve.*retries*", None),
-    ("serve.*accepted*", None),
-    ("serve.*dedup*", None),
-    ("serve.*tenants*", None),
-    ("serve.*throughput*", None),
-    ("serve.*uptime*", None),
-    ("serve.*wall*", None),
-    ("serve.*inflight*", None),
-    ("serve.*comparison*", None),
-    # Slot telemetry sums over *completed* requests, so it inherits the
-    # admission counts' scheduling noise under backpressure.
-    ("serve.*slots*", None),
-    ("serve.*cross_app*", None),
-    ("metrics.counters.slots.*", None),
-    ("metrics.counters.store.cross_app_hits", None),
-    ("serve.*cad_implementations*", None),
-    ("metrics.counters.serve.*", None),
-    # SLO evaluations (the daemon's live summary and the block `repro slo`
-    # attaches) are derived from measured latency/admission behaviour, so
-    # they are informational — and must precede "*break_even*": the
-    # break_even_p95 objective's budget cells are measured, not modelled.
-    ("serve.*slo*", None),
-    ("slo.*", None),
-    # Fleet-mix grid (repro mix): the candidate-search wall time is
-    # excluded from every charged overhead, so the mix break-even cells
-    # are fully virtual-clock and bit-identical — gate them exactly,
-    # ahead of the looser "*break_even*" band below. Only the grid's own
-    # wall clock is measured, hence informational.
-    ("mix.*wall*", None),
-    ("mix.*break_even*", 1e-9),
-    ("whatif.mix.*", 1e-9),
-    # Break-even folds the measured search milliseconds into a
-    # minutes-scale modelled overhead: deterministic to ~1e-6 relative,
-    # so gate it loosely enough to absorb that jitter.
-    ("*break_even*", 1e-4),
-    ("status", 0.0),
-    # Persistent bitstream-cache statistics: informational. Hit/miss
-    # counts depend on what earlier runs left in the store, and a parallel
-    # cold run can race two apps to the same signature — legitimate
-    # variation, not a result drift.
-    ("cache.*", None),
-    ("metrics.counters.cache.*", None),
-    # Post-hoc trace analyses (repro critpath / repro whatif): real-clock
-    # cells are measured wall time, so informational; virtual-clock cells
-    # are deterministic modelled times, gated with the same slack as the
-    # break-even cells (they fold the measured search milliseconds into a
-    # minutes-scale total). The search stage itself stays informational on
-    # both clocks via the "*search*" pattern above.
-    ("critpath.real.*", None),
-    ("critpath.*", 1e-4),
-    ("whatif.check.*", None),
-    ("whatif.*", 1e-4),
-    # VM observatory (repro vmprof / bench-vm): opcode, digram and
-    # superinsn *counts* plus the virtual clock are deterministic and fall
-    # through to the exact catch-all — that is the bit-identical guarantee
-    # the dispatch-optimization work is gated on. Everything measured on
-    # the host clock (run wall time, calibrated dispatch-cost table,
-    # estimated savings, sampler attribution) is informational until
-    # --history noise bands promote it.
-    ("vm.wall_seconds", None),
-    ("vm.instructions_per_second", None),
-    ("vm.dispatch.*", None),
-    ("vm.*saved_ms", None),
-    ("vm.sampled.*", None),
-    # Superinstruction fusion: the vm.fused.* cells (fused wall seconds,
-    # speedup) are host-clock measurements, informational until noise
-    # bands promote them. The vm.fusion.* cells — site/sequence counts,
-    # dispatches removed, and the steps/blocks/virtual *_identical flags
-    # asserting the bit-identity invariant — are deterministic and fall
-    # through to the exact catch-all.
-    ("vm.fused.*", None),
-    ("*", 1e-9),
-)
+EXACT, MODELLED, MEASURED = "exact", "modelled", "measured"
 
-#: Prepended (after any user tolerances) when the two compared runs used
-#: the persistent bitstream cache differently: a warm run legitimately
-#: skips CAD work, so the per-stage span counts and the implementation
-#: counter become informational. The *results* cells (toolflow seconds,
-#: speedups, break-even) stay gated — cached stage times are bit-identical
-#: to recomputed ones.
+#: Relative tolerance per kind; ``None`` marks a cell informational.
+KIND_TOLERANCES: dict[str, float | None] = {
+    EXACT: 1e-9,
+    MODELLED: 1e-4,
+    MEASURED: None,
+}
+
+#: Host-clock words that mark a cell measured wherever they appear.
+_CLOCK = {"*search*": MEASURED, "*compile*": MEASURED, "real_seconds": MEASURED}
+
+#: Top-level block -> (default kind, {key: kind that differs}).
+CELL_KINDS: dict[str, tuple[str, dict[str, str]]] = {
+    "status": (EXACT, {}),
+    "wall_seconds": (MEASURED, {}),
+    # A dedup wait counts requests that raced an in-flight CAD run.
+    "stages": (EXACT, {**_CLOCK, "dedup": MEASURED}),
+    "scalars": (EXACT, {**_CLOCK, "*break_even*": MODELLED}),
+    "fidelity": (EXACT, {**_CLOCK, "*break_even*": MODELLED}),
+    # Hit/miss counts depend on what earlier runs left in the store.
+    "cache": (MEASURED, {}),
+    # Only the request outcomes are fixed by the load schedule.
+    "serve": (
+        MEASURED,
+        {
+            "requests.completed": EXACT,
+            "requests.failed": EXACT,
+            "unresolved": EXACT,
+            "warm_p95_lower": EXACT,
+        },
+    ),
+    # Serve, slot and cross-app counters sum over admitted requests, so
+    # they inherit the admission's scheduling noise.
+    "metrics": (
+        EXACT,
+        {
+            **_CLOCK,
+            "counters.cache": MEASURED,
+            "counters.serve": MEASURED,
+            "counters.slots": MEASURED,
+            "counters.store.cross_app_hits": MEASURED,
+        },
+    ),
+    "critpath": (MODELLED, {**_CLOCK, "real": MEASURED}),
+    # whatif.mix re-simulates the fleet on the virtual clock.
+    "whatif": (MODELLED, {**_CLOCK, "check": MEASURED, "mix": EXACT}),
+    "slo": (MEASURED, {}),
+    "vm": (
+        EXACT,
+        {
+            **_CLOCK,
+            "wall_seconds": MEASURED,
+            "instructions_per_second": MEASURED,
+            "dispatch": MEASURED,
+            "saved_ms": MEASURED,
+            "sampled": MEASURED,
+            "fused": MEASURED,
+        },
+    ),
+    "mix": (EXACT, {**_CLOCK, "*wall*": MEASURED}),
+}
+
+
+def cell_kind(cell: str) -> str:
+    """The kind of *cell*: its block's default unless one of its keys matches.
+
+    Plain keys match whole dotted segments below the block, ``*word*``
+    keys any substring there. The longest matching key wins (ties by
+    name), so the table's declaration order never matters.
+    """
+    block, _, rest = cell.partition(".")
+    default, keys = CELL_KINDS.get(block, (EXACT, _CLOCK))
+    path = f".{rest}."
+    matches = [
+        key
+        for key in keys
+        if (key.strip("*") in rest if key[0] == "*" else f".{key}." in path)
+    ]
+    if not matches:
+        return default
+    return keys[max(matches, key=lambda key: (len(key), key))]
+
+
+#: Checked after any user tolerances, ahead of the cell kinds, when the
+#: two compared runs used the persistent bitstream cache differently: a
+#: warm run legitimately skips CAD work, so the per-stage span counts and
+#: the implementation counter become informational. The *results* cells
+#: (toolflow seconds, speedups, break-even) stay gated — cached stage
+#: times are bit-identical to recomputed ones.
 CACHE_DEMOTED_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("stages.cad.*", None),
     ("metrics.counters.cad.*", None),
@@ -202,10 +197,11 @@ def parse_tolerances(specs: list[str]) -> list[tuple[str, float | None]]:
 def resolve_tolerance(
     cell: str, tolerances: list[tuple[str, float | None]]
 ) -> float | None:
+    """First matching ``(pattern, rel)`` override, else the cell kind's."""
     for pattern, tol in tolerances:
         if fnmatchcase(cell, pattern):
             return tol
-    return 1e-9
+    return KIND_TOLERANCES[cell_kind(cell)]
 
 
 def flatten_cells(manifest: dict) -> dict[str, float]:
@@ -226,13 +222,13 @@ def flatten_cells(manifest: dict) -> dict[str, float]:
             put(f"stages.{name}.{key}", stage.get(key))
 
     def walk(prefix: str, value) -> None:
+        if prefix == "serve.config":
+            return  # the daemon's config echo, compared as manifest config
         if isinstance(value, dict):
             for k, v in value.items():
                 walk(f"{prefix}.{k}", v)
         else:
             put(prefix, value)
-
-    walk("scalars", manifest.get("scalars") or {})
 
     fidelity = manifest.get("fidelity") or {}
     put("fidelity.failed", fidelity.get("failed"))
@@ -244,63 +240,12 @@ def flatten_cells(manifest: dict) -> dict[str, float]:
     for key, value in (manifest.get("cache") or {}).items():
         put(f"cache.{key}", value)
 
-    # Serve-plane block (repro serve daemon / repro loadgen phases): the
-    # nesting varies (single summary vs per-phase summaries), so walk it
-    # generically — numeric leaves become serve.* cells. The daemon's
-    # config echo (ephemeral port, worker count, ...) is configuration,
-    # not a result; it is compared via the manifest config block instead.
-    serve_block = dict(manifest.get("serve") or {})
-    serve_block.pop("config", None)
-    walk("serve", serve_block)
-
     metrics = manifest.get("metrics") or {}
     for name, value in (metrics.get("counters") or {}).items():
         put(f"metrics.counters.{name}", value)
 
-    critpath = manifest.get("critpath") or {}
-    for clock in ("virtual", "real"):
-        blk = critpath.get(clock) or {}
-        put(f"critpath.{clock}.makespan", blk.get("makespan"))
-        put(f"critpath.{clock}.serial_seconds", blk.get("serial_seconds"))
-        put(f"critpath.{clock}.dominant_share", blk.get("dominant_share"))
-        for stage, st in (blk.get("stages") or {}).items():
-            put(f"critpath.{clock}.stages.{stage}.total", st.get("total"))
-            put(f"critpath.{clock}.stages.{stage}.slack_min", st.get("slack_min"))
-            put(f"critpath.{clock}.stages.{stage}.on_path", st.get("on_path"))
-    headroom = critpath.get("headroom") or {}
-    put("critpath.headroom.baseline_break_even", headroom.get("baseline_break_even"))
-    for stage, row in (headroom.get("stages") or {}).items():
-        put(f"critpath.headroom.{stage}.total", row.get("total"))
-        for label, value in (row.get("break_even") or {}).items():
-            put(f"critpath.headroom.{stage}.break_even.{label}", value)
-
-    whatif = manifest.get("whatif") or {}
-    for key, value in ((whatif.get("grid") or {}).get("cells") or {}).items():
-        put(f"whatif.grid.{key}", value)
-    check = whatif.get("check") or {}
-    put("whatif.check.checked", check.get("checked"))
-    put("whatif.check.flagged", check.get("flagged"))
-    scenario = whatif.get("scenario") or {}
-    put("whatif.scenario.break_even_mean", scenario.get("break_even_mean"))
-    for app, row in (scenario.get("apps") or {}).items():
-        put(f"whatif.scenario.{app}.break_even", row.get("break_even"))
-        put(f"whatif.scenario.{app}.overhead", row.get("overhead"))
-
-    # SLO block (attached post hoc by `repro slo`): generic numeric walk;
-    # the objective-level alert kinds are strings and fall out naturally.
-    walk("slo", manifest.get("slo") or {})
-
-    # VM observatory block (repro vmprof / repro bench-vm --ledger): the
-    # opcode/digram/superinsn counts and virtual clocks are deterministic
-    # and fall to the exact catch-all; the measured dispatch costs, wall
-    # clock and sampler stats carry vm.* info tolerances above.
-    walk("vm", manifest.get("vm") or {})
-
-    # Fleet-mix block (repro mix --ledger): nested dicts all the way down
-    # (mix.cells.<preset>.<policy>.c<NN>.<metric>), so the generic walk
-    # covers it. Virtual-clock cells gate exactly; mix.*wall* cells carry
-    # the info tolerance above.
-    walk("mix", manifest.get("mix") or {})
+    for block in ("scalars", "serve", "critpath", "whatif", "slo", "vm", "mix"):
+        walk(block, manifest.get(block) or {})
     return cells
 
 
@@ -451,10 +396,11 @@ def compare_manifests(
 ) -> RegressionReport:
     """Compare *current* against *baseline* cell by cell.
 
-    *tolerances* are prepended to :data:`DEFAULT_TOLERANCES` (first match
-    wins). *history* is an optional list of repeat-run manifests (the
-    candidate included): each cell's candidate value becomes the median
-    over the history and its allowance is widened by ``3 x MAD``.
+    *tolerances* are ``(pattern, rel)`` overrides checked in order before
+    the demotions and the cell kinds (first match wins). *history* is an
+    optional list of repeat-run manifests (the candidate included): each
+    cell's candidate value becomes the median over the history and its
+    allowance is widened by ``3 x MAD``.
 
     *noise_bands* maps cell names to ``{"median", "mad", "samples"}``
     dicts derived from fleet history (:func:`repro.obs.history.
@@ -473,7 +419,7 @@ def compare_manifests(
     ) != cur_cache.get("hits", 0)
     if cache_differs:
         # User tolerances still win (they come first); the demotions
-        # outrank only the defaults.
+        # outrank only the cell kinds.
         resolved += list(CACHE_DEMOTED_TOLERANCES)
     # critpath / whatif blocks are attached post hoc (repro critpath /
     # repro whatif): a run analyzed only on one side is a workflow
@@ -485,7 +431,6 @@ def compare_manifests(
         if bool(baseline.get(block)) != bool(current.get(block))
     ]
     resolved += [(f"{block}.*", None) for block in onesided_blocks]
-    resolved += list(DEFAULT_TOLERANCES)
     base_cells = flatten_cells(baseline)
     cur_cells = flatten_cells(current)
 

@@ -466,8 +466,8 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
     Count cells (steps, opcode/digram/superinsn counts, virtual clocks)
     are deterministic and gated at 1e-9 by the regression sentinel; the
     measured cells (``wall_seconds``, ``dispatch.*``, ``*saved_ms``,
-    ``sampled.*``) carry informational tolerances until ``--history``
-    noise bands promote them.
+    ``sampled.*``) are informational until ``--history`` noise bands
+    promote them.
     """
     digrams = {
         "+".join(pair): count

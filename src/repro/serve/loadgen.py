@@ -24,13 +24,13 @@ import itertools
 import json
 import math
 import os
-import platform
 import shutil
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.obs.ledger import host_fingerprint
 from repro.serve.protocol import ServeClient
 from repro.serve.server import ServerConfig, SpecializationServer
 from repro.serve.store import SharedBitstreamStore
@@ -316,11 +316,7 @@ def run_loadgen(
             "pruning": f"@{cfg.time_share_pct:g}pS{cfg.max_blocks}L",
             "mix": {name: weight for name, weight in cfg.mix},
         },
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "host": host_fingerprint(),
         "schedule": {
             "requests": len(schedule),
             "duration_seconds": schedule[-1].offset if schedule else 0.0,

@@ -255,10 +255,40 @@ for ci in AsipSpecializationProcess().run(compiled.module, train).implementation
 """
 
 
+# Frees instruction-sized blocks in a shuffled, per-process order first, so
+# the IR's addresses no longer follow allocation order: any cover decision
+# that falls back on ``id()`` then differs between the processes.
+_SINGLECUT_SCRIPT = """
+import random
+from repro.apps import compile_app, get_app
+from repro.ir.instructions import Instruction
+from repro.ise import SingleCutIdentifier
+
+rng = random.Random(len(_pad))
+holes = [object.__new__(Instruction) for _ in range(20000)]
+rng.shuffle(holes)
+del holes[::2]
+
+module = compile_app(get_app("fft")).module
+identifier = SingleCutIdentifier(search_budget=2000)
+for func in module.functions.values():
+    for block in func.blocks:
+        for cand in identifier.identify_block(func.name, block):
+            print(cand.key, ",".join(n.name for n in cand.nodes))
+"""
+
+
 class TestCrossProcessDeterminism:
     def test_ports_bitstreams_and_wirelengths_identical_across_processes(self):
         """The same app implemented in separate processes gives the same
         port order, bitstream checksums and placement wirelengths."""
         outputs = outputs_of_fresh_processes(_CROSS_PROCESS_SCRIPT)
+        assert "for.body" in outputs[0]
+        assert outputs[1:] == outputs[:1] * (len(outputs) - 1)
+
+    def test_singlecut_cover_identical_across_processes(self):
+        """Equal-merit subgraphs are ordered by body position, so the
+        single-cut cover of fft is the same in every process."""
+        outputs = outputs_of_fresh_processes(_SINGLECUT_SCRIPT)
         assert "for.body" in outputs[0]
         assert outputs[1:] == outputs[:1] * (len(outputs) - 1)

@@ -325,24 +325,46 @@ class TestManifestBlock:
         assert cells["mix.gate.breakeven_beats_lru"] == 1.0
 
     def test_break_even_cells_gated_exactly(self):
-        from repro.obs.regress import DEFAULT_TOLERANCES, resolve_tolerance
+        from repro.obs.bench import mix_manifest_block
+        from repro.obs.regress import compare_manifests
 
-        tolerances = list(DEFAULT_TOLERANCES)
-        assert (
-            resolve_tolerance(
-                "mix.cells.uniform.lru.c04.fleet_break_even_seconds",
-                tolerances,
-            )
-            == 1e-9
-        )
-        assert resolve_tolerance("mix.wall_seconds", tolerances) is None
-        assert (
-            resolve_tolerance(
-                "whatif.mix.cells.uniform.lru.c04.fleet_break_even_seconds",
-                tolerances,
-            )
-            == 1e-9
-        )
+        def manifest(run_id, break_even, wall):
+            report = self._report()
+            report["cells"]["uniform"]["lru"]["c04"][
+                "fleet_break_even_seconds"
+            ] = break_even
+            report["wall_seconds"] = wall
+            return {"run_id": run_id, "mix": mix_manifest_block(report)}
+
+        baseline = manifest("r1", 100.0, 1.5)
+        assert compare_manifests(baseline, manifest("r2", 100.0, 9.0)).ok
+        report = compare_manifests(baseline, manifest("r2", 100.001, 1.5))
+        assert [d.cell for d in report.regressions] == [
+            "mix.cells.uniform.lru.c04.fleet_break_even_seconds"
+        ]
+
+    def test_whatif_mix_break_even_change_regresses(self):
+        """`repro whatif --slots` re-simulates the fleet on the virtual
+        clock, so its attached cells are gated exactly."""
+        from repro.obs.regress import compare_manifests, flatten_cells
+
+        def manifest(run_id, break_even):
+            cell = {"fleet_break_even_seconds": break_even, "slot_loads": 3}
+            whatif = {
+                "mix": {
+                    "events": 10,
+                    "overrides": {"slots": 2, "policy": None},
+                    "cells": {"uniform": {"lru": {"c02": cell}}},
+                }
+            }
+            return {"run_id": run_id, "whatif": whatif}
+
+        name = "whatif.mix.cells.uniform.lru.c02.fleet_break_even_seconds"
+        baseline = manifest("r1", 100.0)
+        assert flatten_cells(baseline)[name] == 100.0
+        assert compare_manifests(baseline, manifest("r2", 100.0)).ok
+        report = compare_manifests(baseline, manifest("r2", 100.001))
+        assert [d.cell for d in report.regressions] == [name]
 
 
 class TestCli:

@@ -14,8 +14,13 @@ from repro.obs.ledger import (
     render_run_list,
 )
 from repro.obs.log import EventLog, read_log, render_tail
+from repro.obs import regress
 from repro.obs.regress import (
+    EXACT,
+    MEASURED,
+    MODELLED,
     CellDelta,
+    cell_kind,
     compare_manifests,
     flatten_cells,
     median_mad,
@@ -214,6 +219,92 @@ class TestRunLedger:
             obs.abandon_run()
 
 
+#: Representative cells of every manifest block and the kind each has.
+_CELL_KINDS = [
+    ("status", EXACT),
+    ("wall_seconds", MEASURED),
+    ("stages.cad.par.virtual_seconds", EXACT),
+    ("stages.cad.par.spans", EXACT),
+    ("stages.cad.par.real_seconds", MEASURED),
+    ("stages.search.virtual_seconds", MEASURED),
+    ("stages.pipeline.compile.spans", MEASURED),
+    ("stages.store.dedup.wait.spans", MEASURED),
+    ("scalars.per_app.sor.candidates", EXACT),
+    ("scalars.per_app.sor.break_even_seconds", MODELLED),
+    ("scalars.aggregate.break_even_seconds_mean", MODELLED),
+    ("scalars.per_app.sor.search_ms", MEASURED),
+    ("fidelity.failed", EXACT),
+    ("fidelity.I/II/AVG-E/asip_pruned_ratio.actual", EXACT),
+    ("fidelity.I/II/AVG-E/search_ms.actual", MEASURED),
+    ("fidelity.struct/adpcm/search [s].passed", MEASURED),
+    ("fidelity.I/II/AVG-E/break_even_s.actual", MODELLED),
+    ("cache.hits", MEASURED),
+    ("serve.requests.completed", EXACT),
+    ("serve.phases.cold.requests.failed", EXACT),
+    ("serve.phases.cold.unresolved", EXACT),
+    ("serve.warm_p95_lower", EXACT),
+    ("serve.requests.total", MEASURED),
+    ("serve.requests.rejected", MEASURED),
+    ("serve.latency.break_even.p95", MEASURED),
+    ("serve.dedup.saved", MEASURED),
+    ("serve.phases.cold.retries", MEASURED),
+    ("serve.comparison.break_even_p95_cold", MEASURED),
+    ("metrics.counters.icap.reconfigurations", EXACT),
+    ("metrics.counters.cad.implementations", EXACT),
+    ("metrics.counters.cache.hits", MEASURED),
+    ("metrics.counters.serve.requests.completed", MEASURED),
+    ("metrics.counters.slots.evictions.breakeven", MEASURED),
+    ("metrics.counters.store.cross_app_hits", MEASURED),
+    ("critpath.virtual.makespan", MODELLED),
+    ("critpath.virtual.stages.bitgen.nodes", MODELLED),
+    ("critpath.virtual.stages.search.total", MEASURED),
+    ("critpath.real.makespan", MEASURED),
+    ("critpath.headroom.stages.bitgen.break_even.x2", MODELLED),
+    ("critpath.table3.bitgen_share", MODELLED),
+    ("whatif.grid.cells.h0.s0", MODELLED),
+    ("whatif.scenario.apps.sor.break_even", MODELLED),
+    ("whatif.check.flagged", MEASURED),
+    ("whatif.mix.cells.uniform.lru.c04.fleet_break_even_seconds", EXACT),
+    ("slo.break_even_p95.budget_remaining_pct", MEASURED),
+    ("vm.steps", EXACT),
+    ("vm.virtual_cycles", EXACT),
+    ("vm.fusion.fused_instructions", EXACT),
+    ("vm.fusion.dispatches_removed", EXACT),
+    ("vm.fusion.virtual_identical", EXACT),
+    ("vm.wall_seconds", MEASURED),
+    ("vm.instructions_per_second", MEASURED),
+    ("vm.dispatch.store_ns", MEASURED),
+    ("vm.superinsn.load+gep+load.saved_ms", MEASURED),
+    ("vm.sampled.samples", MEASURED),
+    ("vm.fused.speedup", MEASURED),
+    ("mix.cells.uniform.lru.c04.fleet_break_even_seconds", EXACT),
+    ("mix.cells.uniform.lru.c04.slot_loads", EXACT),
+    ("mix.wall_seconds", MEASURED),
+]
+
+
+class TestCellKinds:
+    @pytest.mark.parametrize("cell,kind", _CELL_KINDS)
+    def test_cell_kind(self, cell, kind):
+        assert cell_kind(cell) == kind
+        assert resolve_tolerance(cell, []) == regress.KIND_TOLERANCES[kind]
+
+    def test_every_block_is_listed(self):
+        blocks = {cell.split(".")[0] for cell, _ in _CELL_KINDS}
+        assert blocks == set(regress.CELL_KINDS)
+
+    def test_declaration_order_does_not_matter(self, monkeypatch):
+        reversed_table = {
+            block: (default, dict(reversed(list(keys.items()))))
+            for block, (default, keys) in reversed(
+                list(regress.CELL_KINDS.items())
+            )
+        }
+        monkeypatch.setattr(regress, "CELL_KINDS", reversed_table)
+        for cell, kind in _CELL_KINDS:
+            assert cell_kind(cell) == kind, cell
+
+
 class TestRegressionSentinel:
     def test_parse_tolerances(self):
         parsed = parse_tolerances(["stages.*=0.5", "wall_seconds=info"])
@@ -336,7 +427,9 @@ class TestRegressionSentinel:
         report = compare_manifests(
             baseline, _manifest(run_id="r0002-test", whatif=drifted)
         )
-        assert [d.cell for d in report.regressions] == ["whatif.grid.h0.s0"]
+        assert [d.cell for d in report.regressions] == [
+            "whatif.grid.cells.h0.s0"
+        ]
         # check.* counters stay informational (tooling detail, not result).
         counted = json.loads(json.dumps(block))
         counted["check"]["flagged"] = 1
