@@ -51,7 +51,9 @@ docs-lint:
 	$(PYTHON) scripts/docs_lint.py
 
 # Four-phase wall-time benchmark (serial/parallel x cold/warm cache);
-# rewrites BENCH_parallel.json, the committed evidence.
+# rewrites BENCH_parallel.json, the committed evidence. Every bench-*
+# target writes the one repro-bench/2 report (schema, kind, generated,
+# host, gates) and exits 1 when any of its gates fails; this one has none.
 bench-parallel:
 	$(PYTHON) -m repro bench --domain embedded --out BENCH_parallel.json
 
@@ -63,8 +65,8 @@ serve-smoke:
 
 # Serving benchmark: Poisson load (cold + warm phase over one schedule)
 # against an embedded daemon; rewrites BENCH_serve.json, the committed
-# evidence that the warm p95 break-even sits strictly below cold (exit 1
-# otherwise).
+# evidence that the warm p95 break-even sits strictly below cold (gate
+# warm_p95_lower; exit 1 otherwise).
 bench-serve:
 	$(PYTHON) -m repro loadgen --requests 200 --out BENCH_serve.json
 
@@ -78,9 +80,10 @@ slo-smoke:
 
 # VM interpreter benchmark: calibrate the per-opcode-class dispatch cost,
 # then run the embedded suite plain + sampled + fused through the one
-# dispatch loop (steps, block counts and the virtual clock must stay
-# bit-identical, else exit 1); rewrites BENCH_vm.json, the committed
-# dispatch baseline the ROADMAP's VM-speedup work is measured against.
+# dispatch loop (gates sampled_virtual_identical and fused_identical:
+# steps, block counts and the virtual clock must stay bit-identical, else
+# exit 1); rewrites BENCH_vm.json, the committed dispatch baseline the
+# ROADMAP's VM-speedup work is measured against.
 bench-vm:
 	$(PYTHON) -m repro bench-vm --out BENCH_vm.json
 
@@ -97,9 +100,10 @@ regress-vm:
 
 # Fleet workload-mix benchmark: sweep eviction policy x slot capacity x
 # mix entropy through the slot-contention simulator and rewrite
-# BENCH_mix.json — the committed "Table IV for fleets". Exits non-zero
-# if break-even-aware eviction does not beat LRU on the contended cell
-# or the identical-seed determinism rerun drifts.
+# BENCH_mix.json — the committed "Table IV for fleets". Exits 1 if
+# break-even-aware eviction does not beat LRU on the contended cell
+# (gate breakeven_beats_lru) or the identical-seed rerun drifts (gate
+# determinism).
 bench-mix:
 	$(PYTHON) -m repro mix --out BENCH_mix.json
 

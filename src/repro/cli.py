@@ -455,6 +455,21 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finish_bench(report: dict, render, out) -> int:
+    """Common ending of the BENCH commands: exit 1 if any gate failed."""
+    print(render(report))
+    if out:
+        print(f"\nwrote {report['kind']} benchmark report: {out}")
+    failed = {
+        name: gate["message"]
+        for name, gate in report["gates"].items()
+        if not gate["ok"]
+    }
+    for name, message in failed.items():
+        print(f"FAIL: {name}: {message}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_bench_vm(args: argparse.Namespace) -> int:
     from repro.obs.bench import render_vm_bench, run_vm_bench
 
@@ -469,22 +484,7 @@ def _cmd_bench_vm(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_vm_bench(report))
-    if args.out:
-        print(f"\nwrote VM benchmark report: {args.out}")
-    if not report["totals"]["virtual_identical"]:
-        print(
-            "error: virtual clock drifted under sampling", file=sys.stderr
-        )
-        return 1
-    if not report["totals"].get("fused_virtual_identical"):
-        print(
-            "error: fused run drifted from the plain path "
-            "(steps/blocks/virtual clock)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_bench(report, render_vm_bench, args.out)
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
@@ -1091,10 +1091,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out=args.out,
         cache_dir=args.cache_dir,
     )
-    print(render_bench(report))
-    if args.out:
-        print(f"\nwrote benchmark report: {args.out}")
-    return 0
+    return _finish_bench(report, render_bench, args.out)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1196,17 +1193,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     report = run_loadgen(
         LoadGenConfig(**kwargs), out=args.out, store_root=args.store
     )
-    print(render_loadgen(report))
-    if args.out:
-        print(f"\nwrote serve benchmark report: {args.out}")
-    if not report["warm_p95_lower"]:
-        print(
-            "FAIL: warm-phase p95 break-even is not strictly below cold "
-            "(the cache is not paying for itself)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_bench(report, render_loadgen, args.out)
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
@@ -1243,25 +1230,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_mix_bench(report))
-    if args.out:
-        print(f"\nwrote fleet-mix benchmark report: {args.out}")
-    status = 0
-    if not report["determinism"]["bit_identical"]:
-        print(
-            "FAIL: re-simulating the contended cell from identical inputs "
-            "did not reproduce bit-identically",
-            file=sys.stderr,
-        )
-        status = 1
-    if report["gate"]["breakeven_beats_lru"] is False:
-        print(
-            "FAIL: break-even-aware eviction does not beat LRU on the "
-            "contended mix (fleet break-even regressed)",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return _finish_bench(report, render_mix_bench, args.out)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:

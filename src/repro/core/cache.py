@@ -30,11 +30,14 @@ Three layers model that idea at increasing levels of realism:
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import pickle
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -145,6 +148,7 @@ class PersistentBitstreamCache:
 
         .repro-cache/
           index.json            # key -> {entity, size_bytes, seconds, stored_at}
+          index.lock            # flock'd around index read-modify-writes
           objects/<key>.pkl     # pickled ImplementationResult, candidate=None
 
     Keys are sha256 hex digests over ``(schema, device, timing-model
@@ -153,10 +157,13 @@ class PersistentBitstreamCache:
     implemented for the identical device under the identical timing
     calibration (Section VI-A's "unique identifier ... used as a key").
 
-    Writes are atomic (temp file + :func:`os.replace`), and any corrupted
-    index entry or object file is treated as a miss and dropped, so a
-    killed run can never poison later ones. Hit/miss/store/eviction counts
-    feed both :meth:`stats` and the ``cache.bitstream.*`` metrics counters.
+    Writes are atomic (a temp file unique to the writer, then
+    :func:`os.replace`); every read-modify-write of the index holds an
+    exclusive ``flock`` on ``index.lock``, so concurrent processes never
+    lose each other's entries; and any corrupted index entry or object
+    file is treated as a miss and dropped, so a killed run can never
+    poison later ones. Hit/miss/store/eviction counts feed both
+    :meth:`stats` and the ``cache.bitstream.*`` metrics counters.
     """
 
     root: Path = Path(DEFAULT_CACHE_DIR)
@@ -211,15 +218,20 @@ class PersistentBitstreamCache:
         }
 
     def _write_index(self, entries: dict[str, dict]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {"schema": CACHE_SCHEMA, "entries": entries},
             indent=2,
             sort_keys=True,
         )
-        tmp = self.index_path.with_suffix(".json.tmp")
-        tmp.write_text(payload + "\n", encoding="utf-8")
-        os.replace(tmp, self.index_path)
+        _replace_atomically(self.index_path, (payload + "\n").encode("utf-8"))
+
+    @contextmanager
+    def _index_lock(self):
+        """Exclusive lock (across processes and threads) on the index."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / "index.lock", "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield  # closing the file releases the lock
 
     # -- core operations -------------------------------------------------------
 
@@ -243,10 +255,12 @@ class PersistentBitstreamCache:
                 # Corrupted or unreadable object: demote to a miss and
                 # drop the index entry so we stop retrying it.
                 impl = None
-                entries.pop(key, None)
                 try:
-                    self._write_index(entries)
-                    self._object_path(key).unlink(missing_ok=True)
+                    with self._index_lock():
+                        entries = self._load_index()
+                        entries.pop(key, None)
+                        self._write_index(entries)
+                        self._object_path(key).unlink(missing_ok=True)
                 except OSError:
                     pass
         if impl is None:
@@ -261,45 +275,43 @@ class PersistentBitstreamCache:
 
     def put(self, key: str, impl: "ImplementationResult") -> None:
         """Store one implementation result atomically, evicting if needed."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        objects = self.root / "objects"
-        objects.mkdir(parents=True, exist_ok=True)
+        (self.root / "objects").mkdir(parents=True, exist_ok=True)
         # The candidate is reattached on get(); detaching it keeps the
         # payload independent of analysis-session object graphs.
         payload = pickle.dumps(replace(impl, candidate=None))
-        tmp = objects / f"{key}.pkl.tmp"
-        tmp.write_bytes(payload)
-        os.replace(tmp, self._object_path(key))
+        _replace_atomically(self._object_path(key), payload)
 
-        entries = self._load_index()
-        entries[key] = {
-            "entity": impl.entity_name,
-            "size_bytes": impl.bitstream.size_bytes,
-            "toolflow_seconds": round(impl.times.total, 6),
-            "stored_at": time.time(),
-        }
-        if self.max_entries is not None and self.max_entries > 0:
-            while len(entries) > self.max_entries:
-                oldest = min(
-                    entries, key=lambda k: entries[k].get("stored_at", 0.0)
-                )
-                entries.pop(oldest)
-                self._object_path(oldest).unlink(missing_ok=True)
-                self.evictions += 1
-                self._count("cache.bitstream.evictions")
-        self._write_index(entries)
+        with self._index_lock():
+            entries = self._load_index()
+            entries[key] = {
+                "entity": impl.entity_name,
+                "size_bytes": impl.bitstream.size_bytes,
+                "toolflow_seconds": round(impl.times.total, 6),
+                "stored_at": time.time(),
+            }
+            if self.max_entries is not None and self.max_entries > 0:
+                while len(entries) > self.max_entries:
+                    oldest = min(
+                        entries, key=lambda k: entries[k].get("stored_at", 0.0)
+                    )
+                    entries.pop(oldest)
+                    self._object_path(oldest).unlink(missing_ok=True)
+                    self.evictions += 1
+                    self._count("cache.bitstream.evictions")
+            self._write_index(entries)
         self.stores += 1
         self._count("cache.bitstream.stores")
 
     def clear(self) -> int:
         """Remove every entry; returns how many were dropped."""
-        entries = self._load_index()
-        dropped = len(entries)
-        for key in entries:
-            self._object_path(key).unlink(missing_ok=True)
-        if self.index_path.exists():
+        if not self.index_path.exists():
+            return 0
+        with self._index_lock():
+            entries = self._load_index()
+            for key in entries:
+                self._object_path(key).unlink(missing_ok=True)
             self._write_index({})
-        return dropped
+        return len(entries)
 
     # -- accounting ------------------------------------------------------------
 
@@ -348,3 +360,11 @@ class PersistentBitstreamCache:
         registry = get_metrics()
         if registry.enabled:
             registry.counter(name).inc()
+
+
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Write *data* under a temp name unique to this writer, then rename."""
+    writer = f"{os.getpid()}.{threading.get_ident()}"
+    tmp = path.with_name(f"{path.name}.{writer}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)

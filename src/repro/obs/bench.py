@@ -29,6 +29,13 @@ top digrams, superinstruction candidates and the calibrated dispatch-cost
 table — the committed baseline the ROADMAP's dispatch-optimization work
 is measured against, with the PPC405 virtual clock checked bit-identical
 between the sampled and unsampled runs.
+
+Every BENCH report (``parallel``, ``vm``, ``mix`` and the ``serve``
+report of :func:`repro.serve.loadgen.run_loadgen`) leaves through
+:func:`bench_report`: one ``repro-bench/2`` envelope with the report
+``kind``, the host, and its pass/fail checks as ``gates`` —
+``{name: {"ok": bool, "message": str}}``. ``repro`` exits 1 when any
+gate fails.
 """
 
 from __future__ import annotations
@@ -42,15 +49,40 @@ import time
 from repro.obs.ledger import host_fingerprint
 from repro.obs.metrics import disable_metrics, enable_metrics
 
-#: Report schema identifier (bump on breaking changes).
-BENCH_SCHEMA = "repro-bench-parallel/1"
+#: The one schema of every BENCH report (bump on breaking changes).
+BENCH_SCHEMA = "repro-bench/2"
 
-#: Default report location, committed at the repository root.
+#: Committed report locations at the repository root.
 DEFAULT_BENCH_OUT = "BENCH_parallel.json"
-
-#: VM interpreter benchmark (repro bench-vm) schema + committed report.
-BENCH_VM_SCHEMA = "repro-bench-vm/1"
 DEFAULT_VM_BENCH_OUT = "BENCH_vm.json"
+DEFAULT_MIX_BENCH_OUT = "BENCH_mix.json"
+
+
+def gate(ok: bool, message: str) -> dict:
+    """One pass/fail check of a report; *message* states what must hold."""
+    return {"ok": bool(ok), "message": message}
+
+
+def bench_report(
+    kind: str,
+    body: dict,
+    gates: dict | None = None,
+    out: str | os.PathLike | None = None,
+) -> dict:
+    """Wrap *body* in the BENCH envelope; write it as JSON when *out* is set."""
+    report = {
+        "schema": BENCH_SCHEMA,
+        "kind": kind,
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "host": host_fingerprint(),
+        **body,
+        "gates": gates or {},
+    }
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    return report
 
 
 def _phase(domain: str, jobs: int, backend: str, cache) -> dict:
@@ -113,13 +145,10 @@ def run_parallel_bench(
             phases[a]["wall_seconds"] / max(1e-9, phases[b]["wall_seconds"]), 3
         )
 
-    report = {
-        "schema": BENCH_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    body = {
         "domain": domain,
         "jobs": jobs,
         "backend": backend,
-        "host": host_fingerprint(),
         "phases": phases,
         "speedups": {
             "parallel_vs_serial": speedup("serial_cold", "parallel_cold"),
@@ -127,11 +156,7 @@ def run_parallel_bench(
             "warm_cache_vs_serial": speedup("serial_cold", "cache_warm"),
         },
     }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    return bench_report("parallel", body, out=out)
 
 
 def run_vm_bench(
@@ -152,7 +177,7 @@ def run_vm_bench(
     cancels the slow host drift that makes a difference of two
     independent minima unusable on a shared machine. The PPC405 virtual
     cycles of the two phases must be bit-identical — profiling may never
-    bend the virtual clock.
+    bend the virtual clock (gate ``sampled_virtual_identical``).
 
     Each app also mines its own top-*fuse* superinstruction sequences
     from a profiling run, splices them in via :mod:`repro.vm.fusion`, and
@@ -160,14 +185,16 @@ def run_vm_bench(
     median of the per-pair plain/fused ratios (per app, and pooled across
     apps in ``totals``), and the fused phase must leave steps, block counts
     and the virtual clock bit-identical — fusion may only move the real
-    clock. *fuse* must be at least 1.
+    clock (gate ``fused_identical``, checked by
+    :func:`repro.obs.vmprof.fusion_report`). *fuse* must be at least 1.
     """
     if fuse < 1:
         raise ValueError(f"fuse must be >= 1, got {fuse}")
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
+    from repro.obs.ledger import current_run
     from repro.obs.vmprof import (
-        FusionReport,
         build_profile,
+        fusion_report,
         top_digrams,
         vm_manifest_block,
     )
@@ -175,13 +202,17 @@ def run_vm_bench(
     from repro.vm.dispatchcost import measure_dispatch_costs
     from repro.vm.profiler import BlockTimeSampler
 
+    def median(values) -> float:
+        values = sorted(values)
+        return values[len(values) // 2]
+
     if apps is None:
         apps = [spec.name for spec in EMBEDDED_APPS]
     dispatch = measure_dispatch_costs(iters=calibration_iters)
 
     app_reports: dict[str, dict] = {}
-    all_identical = True
-    fused_all_identical = True
+    sampled_drift: list[str] = []
+    fused_drift: list[str] = []
     fused_all_ratios: list[float] = []
     for name in apps:
         spec = get_app(name)
@@ -193,40 +224,34 @@ def run_vm_bench(
         profiling = compiled.run(spec.train)
         plan = compiled.fusion_plan(top=fuse, profile=profiling.profile)
 
-        wall_plain = wall_sampled = wall_fused = float("inf")
-        ratios: list[float] = []
-        fused_ratios: list[float] = []
+        walls = {"plain": [], "sampled": [], "fused": []}
+        runs = {}
         for _ in range(max(1, pairs)):
-            t0 = time.perf_counter()
-            plain = compiled.run(spec.train)
-            plain_wall = time.perf_counter() - t0
-
             sampler = BlockTimeSampler(interval=sample_interval)
-            t0 = time.perf_counter()
-            sampled = compiled.run(spec.train, sampler=sampler)
-            sampled_wall = time.perf_counter() - t0
-
-            wall_plain = min(wall_plain, plain_wall)
-            wall_sampled = min(wall_sampled, sampled_wall)
-            ratios.append(sampled_wall / max(plain_wall, 1e-9))
-
-            t0 = time.perf_counter()
-            fused = compiled.run(spec.train, fusion=plan)
-            fused_wall = time.perf_counter() - t0
-            wall_fused = min(wall_fused, fused_wall)
-            fused_ratios.append(plain_wall / max(fused_wall, 1e-9))
-        ratios.sort()
-        median_ratio = ratios[len(ratios) // 2]
+            for phase, kwargs in (
+                ("plain", {}),
+                ("sampled", {"sampler": sampler}),
+                ("fused", {"fusion": plan}),
+            ):
+                t0 = time.perf_counter()
+                runs[phase] = compiled.run(spec.train, **kwargs)
+                walls[phase].append(time.perf_counter() - t0)
+        plain, sampled = runs["plain"], runs["sampled"]
+        wall_plain = min(walls["plain"])
+        sampler_ratio = median(
+            s / max(p, 1e-9) for p, s in zip(walls["plain"], walls["sampled"])
+        )
+        fused_ratios = [
+            p / max(f, 1e-9) for p, f in zip(walls["plain"], walls["fused"])
+        ]
+        fused_all_ratios.extend(fused_ratios)
 
         plain_cycles = plain.profile.total_cycles(
             compiled.module, PPC405_COST_MODEL
         )
-        sampled_cycles = sampled.profile.total_cycles(
+        virtual_identical = plain_cycles == sampled.profile.total_cycles(
             compiled.module, PPC405_COST_MODEL
         )
-        virtual_identical = plain_cycles == sampled_cycles
-        all_identical = all_identical and virtual_identical
-
         prof = build_profile(
             app=spec.name,
             dataset=spec.train.name,
@@ -238,10 +263,23 @@ def run_vm_bench(
             dispatch=dispatch,
             max_candidates=top_candidates,
         )
+        prof.fusion = fusion_report(
+            compiled.module,
+            plan,
+            plain,
+            runs["fused"],
+            top=fuse,
+            wall_seconds=min(walls["fused"]),
+            speedup=median(fused_ratios),
+        )
+        if not virtual_identical:
+            sampled_drift.append(spec.name)
+        if not prof.fusion.identical:
+            fused_drift.append(spec.name)
         app_reports[spec.name] = {
             "wall_seconds": round(wall_plain, 6),
-            "sampled_wall_seconds": round(wall_sampled, 6),
-            "sampler_overhead_pct": round(100.0 * (median_ratio - 1.0), 2),
+            "sampled_wall_seconds": round(min(walls["sampled"]), 6),
+            "sampler_overhead_pct": round(100.0 * (sampler_ratio - 1.0), 2),
             "instructions": sampled.steps,
             "instructions_per_second": round(
                 sampled.steps / max(wall_plain, 1e-9), 1
@@ -266,91 +304,56 @@ def run_vm_bench(
                 }
                 for candidate in prof.candidates
             ],
-        }
-        fused_ratios.sort()
-        median_speedup = fused_ratios[len(fused_ratios) // 2]
-        fused_all_ratios.extend(fused_ratios)
-        fused_cycles = fused.profile.total_cycles(
-            compiled.module, PPC405_COST_MODEL
-        )
-        steps_identical = fused.steps == plain.steps
-        blocks_identical = {
-            k: p.count for k, p in fused.profile.blocks.items()
-        } == {k: p.count for k, p in plain.profile.blocks.items()}
-        cycles_identical = fused_cycles == plain_cycles
-        fused_identical = steps_identical and blocks_identical and cycles_identical
-        fused_all_identical = fused_all_identical and fused_identical
-        prof.fusion = FusionReport(
-            top=fuse,
-            sites=plan.site_count,
-            fused_instructions=plan.fused_instructions,
-            dispatches_removed=plan.dispatches_removed(fused.profile),
-            wall_seconds=wall_fused,
-            speedup=median_speedup,
-            steps_identical=steps_identical,
-            blocks_identical=blocks_identical,
-            virtual_identical=cycles_identical,
-            sequences=plan.describe()["sequences"],
-        )
-        app_reports[spec.name]["fused"] = {
-            "top": fuse,
-            "sites": plan.site_count,
-            "fused_instructions": plan.fused_instructions,
-            "dispatches_removed": plan.dispatches_removed(fused.profile),
-            "wall_seconds": round(wall_fused, 6),
-            "speedup": round(median_speedup, 3),
-            "virtual_identical": fused_identical,
-            "sequences": ["+".join(seq) for seq in plan.sequences],
+            "fused": prof.fusion.as_dict(),
         }
         # Feed the current ledger run (if any): the vm block of the last
         # profiled app wins, which is what the regress-vm single-app leg
         # uses; multi-app wall data lives in this report instead.
-        from repro.obs.ledger import current_run
-
         recorder = current_run()
         if recorder is not None:
             recorder.attach_extra("vm", vm_manifest_block(prof))
 
+    reports = app_reports.values()
     totals = {
-        "wall_seconds": round(
-            sum(a["wall_seconds"] for a in app_reports.values()), 3
-        ),
-        "instructions": sum(
-            a["instructions"] for a in app_reports.values()
-        ),
+        "wall_seconds": round(sum(a["wall_seconds"] for a in reports), 3),
+        "instructions": sum(a["instructions"] for a in reports),
         "mean_sampler_overhead_pct": round(
-            sum(
-                a["sampler_overhead_pct"] for a in app_reports.values()
-            )
-            / max(len(app_reports), 1),
+            sum(a["sampler_overhead_pct"] for a in reports)
+            / max(len(reports), 1),
             2,
         ),
-        "virtual_identical": all_identical,
+        "fused_speedup": (
+            round(median(fused_all_ratios), 3) if fused_all_ratios else 0.0
+        ),
+        "fused_wall_seconds": round(
+            sum(a["fused"]["wall_seconds"] for a in reports), 3
+        ),
     }
-    fused_all_ratios.sort()
-    totals["fused_speedup"] = round(
-        fused_all_ratios[len(fused_all_ratios) // 2], 3
-    ) if fused_all_ratios else 0.0
-    totals["fused_wall_seconds"] = round(
-        sum(a["fused"]["wall_seconds"] for a in app_reports.values()), 3
-    )
-    totals["fused_virtual_identical"] = fused_all_identical
 
-    report = {
-        "schema": BENCH_VM_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    def identity_gate(drifted: list[str], message: str) -> dict:
+        if drifted:
+            message += f" (drifted: {', '.join(drifted)})"
+        return gate(not drifted, message)
+
+    gates = {
+        "sampled_virtual_identical": identity_gate(
+            sampled_drift,
+            "the virtual clock must stay bit-identical under sampling",
+        ),
+        "fused_identical": identity_gate(
+            fused_drift,
+            "fusion must keep steps, block counts and the virtual clock "
+            "bit-identical",
+        ),
+    }
+    body = {
         "sample_interval": sample_interval,
         "fuse_top": fuse,
-        "host": host_fingerprint(),
         "dispatch_cost": dispatch.to_dict(),
         "apps": app_reports,
         "totals": totals,
     }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    return bench_report("vm", body, gates, out)
 
 
 def render_vm_bench(report: dict) -> str:
@@ -375,8 +378,11 @@ def render_vm_bench(report: dict) -> str:
     )
     for name, app in (report.get("apps") or {}).items():
         fused = app["fused"]
-        identical = app.get("virtual_identical") and fused.get(
-            "virtual_identical"
+        identical = (
+            app["virtual_identical"]
+            and fused["steps_identical"]
+            and fused["blocks_identical"]
+            and fused["virtual_identical"]
         )
         table.add_row(
             [
@@ -398,6 +404,7 @@ def render_vm_bench(report: dict) -> str:
         )
         lines.append(f"dispatch cost (top classes): {costs}")
     totals = report.get("totals") or {}
+    gates = report["gates"]
     if totals:
         lines.append(
             f"total: {totals.get('wall_seconds', 0.0):.2f}s for "
@@ -405,7 +412,7 @@ def render_vm_bench(report: dict) -> str:
             "virtual clock "
             + (
                 "bit-identical under sampling"
-                if totals.get("virtual_identical")
+                if gates["sampled_virtual_identical"]["ok"]
                 else "DRIFTED under sampling"
             )
         )
@@ -414,7 +421,7 @@ def render_vm_bench(report: dict) -> str:
             "median-of-paired-ratios; "
             + (
                 "blocks + virtual clock bit-identical under fusion"
-                if totals.get("fused_virtual_identical")
+                if gates["fused_identical"]["ok"]
                 else "fused accounting DRIFTED"
             )
         )
@@ -454,10 +461,6 @@ def render_bench(report: dict) -> str:
 
 # -- fleet workload-mix benchmark (repro mix) --------------------------------
 
-#: Fleet-mix grid benchmark (repro mix) schema + committed report.
-BENCH_MIX_SCHEMA = "repro-bench-mix/1"
-DEFAULT_MIX_BENCH_OUT = "BENCH_mix.json"
-
 #: Default grid axes: >=2 entropies x >=3 policies x >=3 slot counts.
 DEFAULT_MIX_PRESETS = ("uniform", "skewed")
 DEFAULT_MIX_POLICIES = ("lru", "lfu", "breakeven")
@@ -476,14 +479,16 @@ def mix_manifest_block(report: dict) -> dict:
     Virtual-clock cells compare at 1e-9; ``wall_seconds`` and the
     profile-building ``search`` times are informational.
     """
+    contended = report["contended"] or {}
+    beats_lru = report["gates"].get("breakeven_beats_lru")
     block: dict = {
         "events": report["events"],
         "seed": report["seed"],
         "entropy": dict(report["entropy"]),
         "gate": {
-            "breakeven_beats_lru": report["gate"]["breakeven_beats_lru"],
-            "contended_preset": report["gate"]["contended"]["preset"],
-            "contended_capacity": report["gate"]["contended"]["capacity"],
+            "breakeven_beats_lru": beats_lru["ok"] if beats_lru else None,
+            "contended_preset": contended.get("preset"),
+            "contended_capacity": contended.get("capacity"),
         },
         "wall_seconds": report["wall_seconds"],
         "cells": {},
@@ -530,8 +535,9 @@ def run_mix_bench(
     (presets, policies, capacities, events, seed) inputs reproduce every
     deterministic cell bit-identically. The *contended* cell — the
     (preset, capacity) pair where plain LRU evicts most — gates the
-    break-even-aware policy: it must strictly beat LRU there, or the
-    report says so and ``repro mix`` exits non-zero.
+    break-even-aware policy: it must strictly beat LRU there (gate
+    ``breakeven_beats_lru``, listed only when such a cell exists), and a
+    rerun of that cell must reproduce it (gate ``determinism``).
     """
     from repro.mix.profiles import DEFAULT_APPS, build_app_profiles
     from repro.mix.simulator import simulate_cell
@@ -605,7 +611,7 @@ def run_mix_bench(
                     "lru_evictions": best[0],
                 }
 
-        gate = {"breakeven_beats_lru": None, "contended": contended}
+        gates = {}
         if contended is not None and "breakeven" in policies:
             ckey = _mix_cell_key(contended["capacity"])
             lru_be = cells[contended["preset"]]["lru"][ckey][
@@ -614,10 +620,13 @@ def run_mix_bench(
             be_be = cells[contended["preset"]]["breakeven"][ckey][
                 "fleet_break_even_seconds"
             ]
-            gate["lru_break_even_seconds"] = lru_be
-            gate["breakeven_break_even_seconds"] = be_be
-            gate["breakeven_beats_lru"] = (
-                lru_be is not None and be_be is not None and be_be < lru_be
+            contended["lru_break_even_seconds"] = lru_be
+            contended["breakeven_break_even_seconds"] = be_be
+            gates["breakeven_beats_lru"] = gate(
+                lru_be is not None and be_be is not None and be_be < lru_be,
+                "break-even-aware eviction must beat LRU on the contended "
+                f"cell {contended['preset']}/{ckey} "
+                f"({be_be} s vs {lru_be} s)",
             )
 
         # Determinism self-check: re-simulate the contended (or first)
@@ -634,25 +643,20 @@ def run_mix_bench(
             rerun_root,
             mix_name=check_preset,
         ).as_dict()
-        first = cells[check_preset][check_policy][_mix_cell_key(check_capacity)]
-        determinism = {
-            "cell": {
-                "preset": check_preset,
-                "policy": check_policy,
-                "capacity": check_capacity,
-            },
-            "bit_identical": json.dumps(rerun, sort_keys=True)
+        ckey = _mix_cell_key(check_capacity)
+        first = cells[check_preset][check_policy][ckey]
+        gates["determinism"] = gate(
+            json.dumps(rerun, sort_keys=True)
             == json.dumps(first, sort_keys=True),
-        }
+            f"re-simulating {check_preset}/{check_policy}/{ckey} from "
+            "identical inputs must reproduce it bit-identically",
+        )
     finally:
         if owns_store:
             shutil.rmtree(store_root, ignore_errors=True)
 
     grid_wall = time.perf_counter() - t1
-    report = {
-        "schema": BENCH_MIX_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": host_fingerprint(),
+    body = {
         "apps": list(apps),
         "presets": list(presets),
         "policies": list(policies),
@@ -670,14 +674,10 @@ def run_mix_bench(
             },
         },
         "cells": cells,
-        "gate": gate,
-        "determinism": determinism,
+        "contended": contended,
         "wall_seconds": round(profile_wall + grid_wall, 3),
     }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    report = bench_report("mix", body, gates, out)
 
     from repro.obs.ledger import current_run
 
@@ -733,24 +733,22 @@ def render_mix_bench(report: dict) -> str:
                     ]
                 )
     lines = [table.render()]
-    gate = report.get("gate") or {}
-    contended = gate.get("contended")
+    gates = report["gates"]
+    contended = report.get("contended")
     if contended:
-        verdict = gate.get("breakeven_beats_lru")
+        verdict = (gates.get("breakeven_beats_lru") or {}).get("ok")
         lines.append(
             f"contended cell: mix={contended['preset']} "
             f"slots={contended['capacity']} "
             f"(lru evictions={contended['lru_evictions']}) -- "
-            f"breakeven {gate.get('breakeven_break_even_seconds')}s vs "
-            f"lru {gate.get('lru_break_even_seconds')}s: "
+            f"breakeven {contended.get('breakeven_break_even_seconds')}s vs "
+            f"lru {contended.get('lru_break_even_seconds')}s: "
             + ("breakeven wins" if verdict else "breakeven does NOT win")
         )
     else:
         lines.append("contended cell: none (no LRU evictions anywhere in grid)")
-    det = report.get("determinism") or {}
-    if det:
-        lines.append(
-            "determinism rerun: "
-            + ("bit-identical" if det.get("bit_identical") else "MISMATCH")
-        )
+    lines.append(
+        "determinism rerun: "
+        + ("bit-identical" if gates["determinism"]["ok"] else "MISMATCH")
+    )
     return "\n".join(lines)

@@ -23,7 +23,7 @@ work:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 from repro.ir.module import Module
@@ -108,6 +108,10 @@ class FusionReport:
             and self.blocks_identical
             and self.virtual_identical
         )
+
+    def as_dict(self) -> dict:
+        """The one JSON form (``vmprof --json``, BENCH_vm, the ``vm`` block)."""
+        return asdict(self)
 
 
 @dataclass
@@ -235,10 +239,8 @@ def fuse_and_measure(
     """Splice the plain run's top-*top* sequences back in; re-run fused.
 
     The fused run uses the same sampler mode as the plain one so the
-    speedup compares like with like. Asserts observational invisibility by
-    comparing steps, per-block counts, and the virtual PPC405 clock of the
-    two runs bit-for-bit (the flags land in the regression-gated
-    ``vm.fusion`` manifest cells).
+    speedup compares like with like; :func:`fusion_report` then checks
+    observational invisibility.
     """
     plan = compiled.fusion_plan(top=top, profile=plain_result.profile)
     sampler = (
@@ -249,32 +251,52 @@ def fuse_and_measure(
     start = perf_counter()
     fused = compiled.run(dataset, sampler=sampler, fusion=plan)
     fused_wall = perf_counter() - start
+    return fusion_report(
+        compiled.module,
+        plan,
+        plain_result,
+        fused,
+        top=top,
+        wall_seconds=fused_wall,
+        speedup=plain_wall / max(fused_wall, 1e-9),
+        cost_model=cost_model,
+    )
 
-    module = compiled.module
-    plain_counts = {
-        key: p.count for key, p in plain_result.profile.blocks.items()
-    }
-    fused_counts = {key: p.count for key, p in fused.profile.blocks.items()}
-    plain_cycles = plain_result.profile.total_cycles(module, cost_model)
-    fused_cycles = fused.profile.total_cycles(module, cost_model)
 
-    sequences: dict[str, dict] = {}
-    for site in plan.all_sites():
-        entry = sequences.setdefault(
-            site.name, {"length": site.length, "sites": 0}
-        )
-        entry["sites"] += 1
+def fusion_report(
+    module: Module,
+    plan: FusionPlan,
+    plain_result,
+    fused_result,
+    top: int,
+    wall_seconds: float,
+    speedup: float,
+    cost_model: CostModel = PPC405_COST_MODEL,
+) -> FusionReport:
+    """Compare a fused run with the plain run of the same input.
+
+    Steps, per-block counts and the virtual PPC405 clock of the two runs
+    must match bit-for-bit (the flags land in the regression-gated
+    ``vm.fusion`` manifest cells and the BENCH_vm fusion gate).
+    """
+
+    def block_counts(result) -> dict:
+        return {key: p.count for key, p in result.profile.blocks.items()}
+
     return FusionReport(
         top=top,
         sites=plan.site_count,
         fused_instructions=plan.fused_instructions,
-        dispatches_removed=plan.dispatches_removed(fused.profile),
-        wall_seconds=fused_wall,
-        speedup=plain_wall / max(fused_wall, 1e-9),
-        steps_identical=plain_result.steps == fused.steps,
-        blocks_identical=plain_counts == fused_counts,
-        virtual_identical=plain_cycles == fused_cycles,
-        sequences=dict(sorted(sequences.items())),
+        dispatches_removed=plan.dispatches_removed(fused_result.profile),
+        wall_seconds=wall_seconds,
+        speedup=speedup,
+        steps_identical=plain_result.steps == fused_result.steps,
+        blocks_identical=(
+            block_counts(plain_result) == block_counts(fused_result)
+        ),
+        virtual_identical=plain_result.profile.total_cycles(module, cost_model)
+        == fused_result.profile.total_cycles(module, cost_model),
+        sequences=plan.describe()["sequences"],
     )
 
 
@@ -441,22 +463,7 @@ def vmprof_json(prof: VmProfile) -> dict:
             for candidate in prof.candidates
         ],
         "dispatch": prof.dispatch.to_dict() if prof.dispatch else None,
-        "fusion": (
-            {
-                "top": prof.fusion.top,
-                "sites": prof.fusion.sites,
-                "fused_instructions": prof.fusion.fused_instructions,
-                "dispatches_removed": prof.fusion.dispatches_removed,
-                "wall_seconds": prof.fusion.wall_seconds,
-                "speedup": prof.fusion.speedup,
-                "steps_identical": prof.fusion.steps_identical,
-                "blocks_identical": prof.fusion.blocks_identical,
-                "virtual_identical": prof.fusion.virtual_identical,
-                "sequences": prof.fusion.sequences,
-            }
-            if prof.fusion is not None
-            else None
-        ),
+        "fusion": prof.fusion.as_dict() if prof.fusion is not None else None,
     }
 
 
@@ -510,23 +517,13 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
         # functions of the profile) and regression-gated at 1e-9, with the
         # three *_identical flags as 0/1 sentinels for the bit-identity
         # invariant; the measured vm.fused.* cells stay informational.
+        fusion = prof.fusion.as_dict()
+        fused = {key: fusion.pop(key) for key in ("wall_seconds", "speedup")}
         block["fusion"] = {
-            "top": prof.fusion.top,
-            "sites": prof.fusion.sites,
-            "fused_instructions": prof.fusion.fused_instructions,
-            "dispatches_removed": prof.fusion.dispatches_removed,
-            "steps_identical": int(prof.fusion.steps_identical),
-            "blocks_identical": int(prof.fusion.blocks_identical),
-            "virtual_identical": int(prof.fusion.virtual_identical),
-            "sequences": {
-                name: dict(entry)
-                for name, entry in prof.fusion.sequences.items()
-            },
+            key: int(value) if isinstance(value, bool) else value
+            for key, value in fusion.items()
         }
-        block["fused"] = {
-            "wall_seconds": prof.fusion.wall_seconds,
-            "speedup": prof.fusion.speedup,
-        }
+        block["fused"] = fused
     return block
 
 

@@ -13,9 +13,9 @@ Two phases run the same schedule against one shared store: ``cold``
 (empty store: every first candidate signature pays the CAD flow) and
 ``warm`` (every candidate a hit), so the committed ``BENCH_serve.json``
 carries the serving-time analogue of Table IV's cache argument — warm
-p95 break-even strictly below cold. Rejected admissions are retried
-after the advertised ``retry_after_ms`` (backpressure, not lost work)
-and surface as a retry count.
+p95 break-even strictly below cold (its ``warm_p95_lower`` gate).
+Rejected admissions are retried after the advertised ``retry_after_ms``
+(backpressure, not lost work) and surface as a retry count.
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.ledger import host_fingerprint
+from repro.obs.bench import bench_report, gate
 from repro.serve.protocol import ServeClient
 from repro.serve.server import ServerConfig, SpecializationServer
 from repro.serve.store import SharedBitstreamStore
 from repro.util.rng import DeterministicRng
-
-#: Report schema identifier (bump on breaking changes).
-SERVE_BENCH_SCHEMA = "repro-bench-serve/1"
 
 #: Default report location, committed at the repository root.
 DEFAULT_SERVE_BENCH_OUT = "BENCH_serve.json"
@@ -294,15 +291,13 @@ def run_loadgen(
         "cad_implementations_cold": phases["cold"]["cad_implementations"],
         "cad_implementations_warm": phases["warm"]["cad_implementations"],
     }
-    warm_p95_lower = bool(
-        comparison["break_even_p95_warm"] is not None
-        and comparison["break_even_p95_cold"] is not None
-        and comparison["break_even_p95_warm"] < comparison["break_even_p95_cold"]
+    cold, warm = (
+        comparison["break_even_p95_cold"],
+        comparison["break_even_p95_warm"],
     )
+    warm_p95_lower = cold is not None and warm is not None and warm < cold
 
-    report = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    body = {
         "config": {
             "requests": cfg.requests,
             "clients": cfg.clients,
@@ -316,7 +311,6 @@ def run_loadgen(
             "pruning": f"@{cfg.time_share_pct:g}pS{cfg.max_blocks}L",
             "mix": {name: weight for name, weight in cfg.mix},
         },
-        "host": host_fingerprint(),
         "schedule": {
             "requests": len(schedule),
             "duration_seconds": schedule[-1].offset if schedule else 0.0,
@@ -325,7 +319,13 @@ def run_loadgen(
         },
         "phases": phases,
         "comparison": comparison,
-        "warm_p95_lower": warm_p95_lower,
+    }
+    gates = {
+        "warm_p95_lower": gate(
+            warm_p95_lower,
+            f"warm-phase p95 break-even ({warm} s) must be strictly below "
+            f"cold ({cold} s): the cache must pay for itself",
+        )
     }
 
     from repro.obs.ledger import current_run
@@ -346,11 +346,7 @@ def run_loadgen(
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         recorder.artifacts.setdefault("requests", "requests.jsonl")
 
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    return bench_report("serve", body, gates, out)
 
 
 def render_loadgen(report: dict) -> str:
@@ -420,7 +416,9 @@ def render_loadgen(report: dict) -> str:
     cold = comparison.get("break_even_p95_cold")
     warm = comparison.get("break_even_p95_warm")
     if cold is not None and warm is not None:
-        verdict = "lower" if report.get("warm_p95_lower") else "NOT lower"
+        verdict = (
+            "lower" if report["gates"]["warm_p95_lower"]["ok"] else "NOT lower"
+        )
         lines.append(
             f"warm-vs-cold break-even p95: {warm:.0f} s vs {cold:.0f} s "
             f"({verdict}); dedup saved {comparison.get('dedup_saved_total', 0)} "

@@ -111,7 +111,6 @@ class SpecializationServer:
         self._started = time.perf_counter()
 
         self._stop = threading.Event()
-        self._drained = threading.Event()
         self._shutdown_reason: str | None = None
 
         self._stats_lock = threading.Lock()
@@ -216,10 +215,14 @@ class SpecializationServer:
         """Stop accepting, finish queued + in-flight work, close down."""
         self._stop.set()
         if self._listener is not None:
+            # Closing alone does not wake a thread blocked in accept();
+            # shutting the socket down makes accept() raise, so the
+            # acceptor exits at once and the join below is only a guard.
             try:
-                self._listener.close()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
+                pass  # already shut down by an earlier drain
+            self._listener.close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=5.0)
         for _ in self._workers:
@@ -236,7 +239,6 @@ class SpecializationServer:
                 failed=self.requests["failed"],
             )
             self._span.finish()
-        self._drained.set()
         status = self.shutdown_status()
         if self.record_run:
             self._record_run(status)

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -237,3 +241,70 @@ class TestFidelityCommand:
         assert f"wrote fidelity report: {out_file}" in out
         doc = json.loads(out_file.read_text())
         assert doc["ok"] is True and doc["failed"] == 0
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestBenchReports:
+    @pytest.mark.parametrize("kind", ["parallel", "vm", "mix", "serve"])
+    def test_committed_report_is_in_the_envelope(self, kind):
+        from repro.obs.bench import BENCH_SCHEMA
+
+        report = json.loads((REPO_ROOT / f"BENCH_{kind}.json").read_text())
+        assert report["schema"] == BENCH_SCHEMA == "repro-bench/2"
+        assert report["kind"] == kind
+        for key in ("generated", "host", "gates"):
+            assert key in report
+        for name, gate in report["gates"].items():
+            assert gate["ok"] is True, f"{name}: {gate['message']}"
+
+    def test_failed_gate_exits_1_with_its_message(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.obs.bench as bench
+
+        out = tmp_path / "BENCH_parallel.json"
+
+        def failing_bench(**kwargs):
+            gates = {
+                "passes": bench.gate(True, "this check holds"),
+                "fails": bench.gate(False, "this check must hold"),
+            }
+            return bench.bench_report("parallel", {}, gates, kwargs["out"])
+
+        monkeypatch.setattr(bench, "run_parallel_bench", failing_bench)
+        assert main(["bench", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"wrote parallel benchmark report: {out}" in captured.out
+        assert captured.err.splitlines() == [
+            "FAIL: fails: this check must hold"
+        ]
+        assert json.loads(out.read_text())["gates"]["fails"]["ok"] is False
+
+    def test_perfbench_wrapped_names_resolve_and_unpatch(self):
+        """Every attribute the repository benchmark wraps still exists."""
+        sys.path.insert(0, str(REPO_ROOT))
+        try:
+            from perfbench import layers
+            from perfbench.spans import SpanRecorder
+        finally:
+            sys.path.remove(str(REPO_ROOT))
+
+        def current(owner, attr):
+            return (
+                owner.__dict__[attr] if isinstance(owner, type)
+                else getattr(owner, attr)
+            )
+
+        recorder = SpanRecorder()
+        try:
+            layers.install(recorder)
+            patches = list(recorder._patches)
+            assert patches
+            for owner, attr, original in patches:
+                assert current(owner, attr) is not original
+        finally:
+            recorder.unpatch()
+        for owner, attr, original in patches:
+            assert current(owner, attr) is original

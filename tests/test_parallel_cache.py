@@ -121,6 +121,55 @@ class TestPersistentCache:
         assert len(cache) == 1
         assert cache.contains("b" * 64) and not cache.contains("a" * 64)
 
+    def test_two_writer_processes_keep_every_entry(self, tmp_path):
+        """Two processes putting 40 entries each into one root keep 80."""
+        script = tmp_path / "writer.py"
+        script.write_text(_CACHE_WRITER, encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, str(script), str(src), str(tmp_path), name],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for name in ("a", "b")
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert len(PersistentBitstreamCache(root=tmp_path / "bc")) == 80
+
+
+#: One cache writer: waits until both writers are ready, then puts 40
+#: entries (argv: src dir, shared dir, writer name).
+_CACHE_WRITER = """
+import sys, time
+from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
+
+sys.path.insert(0, sys.argv[1])
+from repro.core.cache import PersistentBitstreamCache
+
+@dataclass
+class Impl:
+    candidate: object
+    entity_name: str
+    bitstream: object
+    times: object
+
+shared, name = Path(sys.argv[2]), sys.argv[3]
+cache = PersistentBitstreamCache(root=shared / "bc")
+(shared / f"ready.{name}").touch()
+while len(list(shared.glob("ready.*"))) < 2:
+    time.sleep(0.001)
+for i in range(40):
+    impl = Impl(None, f"e{i}", SimpleNamespace(size_bytes=1),
+                SimpleNamespace(total=1.0))
+    cache.put(f"{name}{i:02d}", impl)
+"""
+
 
 class TestAsipSpWithCacheAndJobs:
     def test_cold_then_warm_run_is_identical_with_fewer_cad_calls(

@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro import obs
+from repro.obs.bench import BENCH_SCHEMA
 from repro.obs.export import chrome_trace, read_jsonl, validate_trace
 from repro.obs.regress import compare_manifests, flatten_cells
 from repro.obs.tracer import Tracer
@@ -171,6 +173,25 @@ class TestStore:
 
 
 class TestServer:
+    def test_idle_drain_is_prompt_and_leaks_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        srv = SpecializationServer(
+            ServerConfig(workers=2, store_root=str(tmp_path / "store")),
+            record_run=False,
+        )
+        t0 = time.perf_counter()
+        srv.start()
+        # A served ping puts the acceptor back into a blocking accept().
+        assert ServeClient(port=srv.port).ping()["status"] == "ok"
+        srv.drain()
+        assert time.perf_counter() - t0 < 0.5
+        leaked = [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("serve-") and t not in before
+        ]
+        assert leaked == []
+
     def test_ping_stats_and_specialize(self, server):
         client = ServeClient(port=server.port)
         assert client.ping()["status"] == "ok"
@@ -282,7 +303,8 @@ class TestLoadgen:
 
         out = tmp_path / "BENCH_serve.json"
         report = run_loadgen(cfg, out=out, store_root=tmp_path / "store")
-        assert report["schema"].startswith("repro-bench-serve/")
+        assert report["schema"] == BENCH_SCHEMA
+        assert report["kind"] == "serve"
         phases = report["phases"]
         assert phases["cold"]["requests"]["completed"] == 10
         assert phases["warm"]["requests"]["completed"] == 10
@@ -291,13 +313,14 @@ class TestLoadgen:
         # The warm phase re-runs the same schedule over the now-populated
         # store: zero CAD implementations and a strictly lower p95.
         assert phases["warm"]["cad_implementations"] == 0
-        assert report["warm_p95_lower"] is True
+        assert report["gates"]["warm_p95_lower"]["ok"] is True
         comparison = report["comparison"]
         assert (
             comparison["break_even_p95_warm"]
             < comparison["break_even_p95_cold"]
         )
-        assert json.loads(out.read_text())["warm_p95_lower"] is True
+        written = json.loads(out.read_text())
+        assert written["gates"]["warm_p95_lower"]["ok"] is True
         rendering = render_loadgen(report)
         assert "warm-vs-cold break-even p95" in rendering
 

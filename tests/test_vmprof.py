@@ -350,7 +350,7 @@ class TestCliCommands:
 
 class TestVmBench:
     def test_run_vm_bench_single_app_smoke(self, tmp_path):
-        from repro.obs.bench import BENCH_VM_SCHEMA, run_vm_bench
+        from repro.obs.bench import BENCH_SCHEMA, run_vm_bench
 
         out = tmp_path / "BENCH_vm.json"
         report = run_vm_bench(
@@ -359,18 +359,19 @@ class TestVmBench:
             calibration_iters=300,
             pairs=1,
         )
-        assert report["schema"] == BENCH_VM_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA
+        assert report["kind"] == "vm"
         assert json.loads(out.read_text()) == report
         app = report["apps"]["fft"]
         assert app["virtual_identical"] is True
         assert app["wall_seconds"] > 0
         assert app["opcodes"] and app["top_digrams"] and app["superinsn"]
-        assert report["totals"]["virtual_identical"] is True
+        assert report["gates"]["sampled_virtual_identical"]["ok"] is True
         assert report["dispatch_cost"]["classes_ns"]
         # The fused phase always runs, at the default top-12.
         assert report["fuse_top"] == 12
         assert app["fused"]["virtual_identical"] is True
-        assert report["totals"]["fused_virtual_identical"] is True
+        assert report["gates"]["fused_identical"]["ok"] is True
 
     def test_run_vm_bench_refuses_fusing_nothing(self, tmp_path):
         from repro.obs.bench import run_vm_bench
@@ -394,6 +395,5 @@ class TestVmBench:
         assert fused["sites"] > 0
         assert fused["dispatches_removed"] > 0
         assert fused["sequences"]
-        totals = report["totals"]
-        assert totals["fused_virtual_identical"] is True
-        assert totals["fused_speedup"] > 0
+        assert report["gates"]["fused_identical"]["ok"] is True
+        assert report["totals"]["fused_speedup"] > 0
